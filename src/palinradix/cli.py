@@ -4,7 +4,8 @@ Subcommands: minbase (single-value query), scan (palindrome search over a
 base range for 2**n), table (regenerate a reference table), conjectures
 (evidence sweep).  Exit codes: 0 success, 2 usage error, 3 verified claim
 violation or golden mismatch.  All output is deterministic for fixed
-arguments, whatever --jobs is.
+arguments, whatever --jobs is; --jobs must be >= 1 and is capped at the
+CPU count.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -116,6 +118,11 @@ def _records_json(records: list[OutputRecord]) -> str:
     return json.dumps([r.to_json_obj() for r in records], indent=2) + "\n"
 
 
+def _capped_jobs(jobs: int) -> int:
+    """--jobs capped at the CPU count: more workers than CPUs only add start-up."""
+    return min(jobs, os.cpu_count() or 1)
+
+
 def cmd_minbase(args: argparse.Namespace) -> int:
     if (args.n is None) == (args.pow2 is None):
         print("minbase: give exactly one of N or --pow2 n", file=sys.stderr)
@@ -141,18 +148,22 @@ def cmd_scan(args: argparse.Namespace) -> int:
     if n_exp < 1:
         print("scan: --pow2 exponent must be >= 1", file=sys.stderr)
         return 2
+    if args.jobs < 1:
+        print("scan: --jobs must be >= 1", file=sys.stderr)
+        return 2
+    jobs = _capped_jobs(args.jobs)
     if args.max_base is not None and args.max_base > MAX_BASE:
         print(f"scan: --max-base exceeds {MAX_BASE}", file=sys.stderr)
         return 2
     if args.max_base is None and args.min_base == 2:
-        report = pow2_complete_scan(n_exp, min_digits=args.min_digits, jobs=args.jobs)
+        report = pow2_complete_scan(n_exp, min_digits=args.min_digits, jobs=jobs)
     else:
         hi = args.max_base if args.max_base is not None else complete_scan_bound(n_exp)
         if args.min_base < 2 or hi < args.min_base:
             print(f"scan: invalid base range [{args.min_base}, {hi}]", file=sys.stderr)
             return 2
         report = enumerate_palindromes(
-            1 << n_exp, args.min_base, hi, min_digits=args.min_digits, jobs=args.jobs
+            1 << n_exp, args.min_base, hi, min_digits=args.min_digits, jobs=jobs
         )
 
     records = [OutputRecord.from_record(rec) for rec in report.records]
@@ -233,7 +244,10 @@ def cmd_conjectures(args: argparse.Namespace) -> int:
     if args.max_n < 4:
         print("conjectures: --max-n must be >= 4", file=sys.stderr)
         return 2
-    reports = check_conjectures(args.max_n, jobs=args.jobs)
+    if args.jobs < 1:
+        print("conjectures: --jobs must be >= 1", file=sys.stderr)
+        return 2
+    reports = check_conjectures(args.max_n, jobs=_capped_jobs(args.jobs))
     failed = False
     for report in reports:
         print(f"({report.conjecture_id}) range {report.range_tested}: "
@@ -274,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
                    "appended analytically")
     p.add_argument("--min-digits", type=int, default=2)
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes (>= 1, capped at the CPU count)")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("table", help="regenerate a reference table")
@@ -286,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conjectures", help="evidence sweep for the open questions")
     p.add_argument("--max-n", type=int, default=64)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes (>= 1, capped at the CPU count)")
     p.set_defaults(func=cmd_conjectures)
 
     return parser

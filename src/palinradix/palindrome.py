@@ -1,11 +1,14 @@
 """Palindrome search: minimal base, bounded scans, and the closed-form
 families (3-digit, (1,c,1), and 2-digit) that cover bases beyond any scan.
 
-Base-range scans are embarrassingly parallel: a range is split into
-contiguous chunks, each chunk is scanned independently, and the chunk
-results are concatenated in order, so the merged report is identical for
-any job count.  The environment variable PALINRADIX_MAX_BASE, when set,
-caps every scan; a capped scan is reported as non-exhaustive.
+Base-range scans walk the range by digit-count band and test most bases
+with one modulo each (see _palindromic_bases).  They are embarrassingly
+parallel: a range is split into contiguous chunks, each chunk is scanned
+independently, and the chunk results are concatenated in order, so the
+merged report is identical for any job count.  The environment variable
+PALINRADIX_MAX_BASE, when set, caps the ranges of enumerate_palindromes
+and pow2_complete_scan; a capped scan is reported as non-exhaustive.
+min_pal_base and the closed-form families ignore it.
 """
 
 from __future__ import annotations
@@ -14,10 +17,10 @@ import math
 import os
 from dataclasses import dataclass
 from multiprocessing import Pool
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .binomial import BinomialClassification, classify_binomial
-from .numtheory import divisors
+from .numtheory import divisors, iroot
 from .radix import MAX_BASE, Representation, from_digits, is_palindrome, to_digits
 
 
@@ -94,14 +97,63 @@ def _palindromic_lsf(n: int, base: int) -> list[int] | None:
     return digs if digs == digs[::-1] else None
 
 
+# Leading-digit runs at least this long are filtered by one modulo per base,
+# b | (n - c); on shorter runs, finding where the run ends (an integer root)
+# costs more than that filter saves over computing each base's leading digit.
+_RUN_MIN = 16
+
+
+def _palindromic_bases(
+    n: int, lo: int, hi: int, min_digits: int
+) -> Iterator[tuple[int, list[int]]]:
+    """Each base b in [lo, hi] in which n >= 1 is a palindrome of at least
+    min_digits digits, ascending, with its least-significant-first digits.
+
+    Bases are walked by digit-count band: b gives n exactly k digits iff
+    iroot(n, k) < b <= iroot(n, k - 1).  A palindrome's last digit n % b
+    equals its leading digit c = n // b**(k-1), and c is constant over runs
+    of consecutive bases: on a long run a base is a candidate only if b
+    divides n - c; elsewhere n % b is compared with each base's leading
+    digit.  Both tests only filter: every candidate is confirmed by full
+    digit extraction before it is yielded.
+
+    >>> [b for b, _ in _palindromic_bases(2**12, 2, 64, 3)]
+    [7, 15, 19, 31, 63]
+    """
+    k, power = 1, lo  # k: digit count of n in base lo
+    while power <= n:
+        k, power = k + 1, power * lo
+    b = lo
+    while b <= hi and k >= min_digits:
+        if k == 1:  # b > n: every base reads n as one digit
+            for x in range(b, hi + 1):
+                yield x, [n]
+            return
+        p = k - 1
+        top = min(hi, iroot(n, p))
+        # below `switch`, runs are shorter than _RUN_MIN bases
+        switch = min(top, iroot(p * _RUN_MIN * n, k))
+        candidates = [x for x in range(b, switch + 1) if n % x == n // x**p]
+        b = max(b, switch + 1)
+        while b <= top:
+            c = n // b**p
+            end = min(top, iroot(n // c, p))
+            m = n - c
+            candidates += [x for x in range(b, end + 1) if not m % x]
+            b = end + 1
+        for x in candidates:
+            digs = _palindromic_lsf(n, x)
+            if digs is not None:
+                yield x, digs
+        k -= 1
+
+
 def _scan_chunk(args: tuple[int, int, int, int]) -> list[PalindromeRecord]:
     n, lo, hi, min_digits = args
-    found = []
-    for b in range(lo, hi + 1):
-        digs = _palindromic_lsf(n, b)
-        if digs is not None and len(digs) >= min_digits:
-            found.append(make_record(n, Representation(b, tuple(reversed(digs)))))
-    return found
+    return [
+        make_record(n, Representation(b, tuple(reversed(digs))))
+        for b, digs in _palindromic_bases(n, lo, hi, min_digits)
+    ]
 
 
 def enumerate_palindromes(
@@ -111,7 +163,7 @@ def enumerate_palindromes(
     min_digits: int = 2,
     jobs: int = 1,
 ) -> ScanReport:
-    """Test every base in [b_lo, b_hi] and collect palindromic hits.
+    """Every base in [b_lo, b_hi] in which n is palindromic, in base order.
 
     min_digits defaults to 2, which excludes the trivial single-digit case
     n < b; pass 1 to include it.  The report is exhaustive unless the
@@ -141,7 +193,6 @@ def enumerate_palindromes(
         with Pool(jobs) as pool:
             records = [rec for part in pool.map(_scan_chunk, chunks) for rec in part]
 
-    records.sort(key=lambda r: (r.rep.base, r.digit_count))
     return ScanReport(
         target=n,
         base_range=(b_lo, b_hi),

@@ -194,6 +194,72 @@ class TestConjectures:
         assert code == 2
 
 
+class RecordingPool:
+    """Stands in for multiprocessing.Pool: records the worker count asked
+    for and maps serially, so no worker process starts."""
+
+    def __init__(self, sizes, processes):
+        sizes.append(processes)
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+
+class TestJobs:
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        sizes = []
+        for module in ("palinradix.palindrome", "palinradix.theorems"):
+            monkeypatch.setattr(
+                f"{module}.Pool", lambda processes: RecordingPool(sizes, processes)
+            )
+        monkeypatch.setattr("os.cpu_count", lambda: 3)
+        return sizes
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("scan", "--pow2", "12", "--jobs", "0"),
+            ("scan", "--pow2", "12", "--jobs", "-2"),
+            ("conjectures", "--max-n", "8", "--jobs", "0"),
+        ],
+    )
+    def test_below_one_is_usage_error(self, capsys, pool_sizes, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "--jobs must be >= 1" in err
+        assert pool_sizes == []
+
+    def test_scan_capped_at_cpu_count(self, capsys, pool_sizes):
+        _, serial, _ = run(capsys, "scan", "--pow2", "16", "--format", "csv")
+        code, capped, _ = run(
+            capsys, "scan", "--pow2", "16", "--format", "csv", "--jobs", "1000000"
+        )
+        assert code == 0
+        assert pool_sizes == [3]
+        assert capped == serial
+
+    def test_conjectures_capped_at_cpu_count(self, capsys, pool_sizes):
+        _, serial, _ = run(capsys, "conjectures", "--max-n", "8")
+        code, capped, _ = run(capsys, "conjectures", "--max-n", "8", "--jobs", "64")
+        assert code == 0
+        assert pool_sizes == [3]
+        assert capped == serial
+
+    def test_unknown_cpu_count_runs_serially(self, capsys, pool_sizes, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: None)
+        code, _, _ = run(capsys, "scan", "--pow2", "16", "--jobs", "8")
+        assert code == 0
+        assert pool_sizes == []
+
+
 class TestParser:
     def test_no_command(self, capsys):
         assert run(capsys, )[0] == 2
