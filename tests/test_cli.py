@@ -194,34 +194,7 @@ class TestConjectures:
         assert code == 2
 
 
-class RecordingPool:
-    """Stands in for multiprocessing.Pool: records the worker count asked
-    for and maps serially, so no worker process starts."""
-
-    def __init__(self, sizes, processes):
-        sizes.append(processes)
-
-    def map(self, fn, items):
-        return [fn(item) for item in items]
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-
 class TestJobs:
-    @pytest.fixture
-    def pool_sizes(self, monkeypatch):
-        sizes = []
-        for module in ("palinradix.palindrome", "palinradix.theorems"):
-            monkeypatch.setattr(
-                f"{module}.Pool", lambda processes: RecordingPool(sizes, processes)
-            )
-        monkeypatch.setattr("os.cpu_count", lambda: 3)
-        return sizes
-
     @pytest.mark.parametrize(
         "argv",
         [

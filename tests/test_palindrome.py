@@ -11,7 +11,6 @@ from palinradix.palindrome import (
     enumerate_palindromes,
     make_record,
     min_pal_base,
-    naive_min_pal_base,
     one_c_one_reps,
     pow2_complete_scan,
     three_digit_reps,
@@ -24,6 +23,8 @@ from palinradix.radix import (
     is_palindrome,
     to_digits,
 )
+
+from oracles import naive_min_pal_base
 
 
 class TestMinPalBase:

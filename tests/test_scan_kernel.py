@@ -1,30 +1,30 @@
 """Differential tests of the band-split scan kernel behind
-enumerate_palindromes and pow2_complete_scan.
+enumerate_palindromes, pow2_complete_scan and min_pal_base.
 
-The oracle converts n to base b for every base of the range and tests the
-digit tuple: no bands, no leading-digit runs, no divisibility filter.
+The oracles (tests/oracles.py) convert n to base b for every base in turn
+and test the digit tuple: no bands, no leading-digit runs, no divisibility
+filter.
 """
 
+import csv
 import math
+import pathlib
 
 import pytest
 
 from palinradix.numtheory import iroot
 from palinradix.palindrome import (
+    _BLOCK_MIN,
+    _RUN_MIN,
     _palindromic_bases,
     enumerate_palindromes,
+    min_pal_base,
     pow2_complete_scan,
 )
-from palinradix.radix import is_palindrome, to_digits
 
+from oracles import naive_min_pal_base, palindromic_bases as oracle
 
-def oracle(n, lo, hi, min_digits):
-    out = []
-    for b in range(lo, hi + 1):
-        rep = to_digits(n, b)
-        if len(rep.digits) >= min_digits and is_palindrome(rep):
-            out.append((b, rep.digits))
-    return out
+DATA_DIR = pathlib.Path(__file__).parent / "data"
 
 
 def scan(n, lo, hi, min_digits, jobs=1):
@@ -103,6 +103,34 @@ def test_planted_palindromes(rng):
         assert got == oracle(n, max(2, b - 3), b + 3, 3), (n, b)
 
 
+def test_short_run_blocks(rng):
+    # from _BLOCK_MIN on, short runs are tested in blocks lo..lo + lo//16:
+    # plant a 3-digit palindrome on a block's last base or the next one's first
+    for _ in range(100):
+        lo = rng.randint(_BLOCK_MIN, 5000)
+        b = lo + (lo >> 4) + rng.randint(0, 1)
+        digits = (c := rng.randint(b // 30 + 1, 3 * b // 4), rng.randint(0, b - 1), c)
+        n = sum(d * b**i for i, d in enumerate(digits))
+        assert lo**3 > n and lo < _RUN_MIN * 2 * (n // lo**2)  # a short run
+        got = scan(n, lo, b + 2, 3)
+        assert (b, digits) in got
+        assert got == oracle(n, lo, b + 2, 3), (n, lo)
+
+
+def test_short_run_block_at_band_edge():
+    # with 41 digits and b >= _BLOCK_MIN, a block of short runs would reach
+    # the next digit-count band; plant a palindrome on that band's first base
+    for b in (1100, 1500, 1999):
+        digits = (b - 1,) + (b // 3,) * 39 + (b - 1,)
+        n = sum(d * b**i for i, d in enumerate(digits))
+        lo = b - (b >> 5)
+        assert iroot(n, 41) + 1 == b and lo + (lo >> 4) > b
+        assert lo < _RUN_MIN * 41 * (n // lo**41)  # a short run
+        got = scan(n, lo, b + 2, 3)
+        assert (b, digits) in got
+        assert got == oracle(n, lo, b + 2, 3), b
+
+
 def test_single_digit_band():
     # bases above n read it as one digit: hits only when min_digits is 1
     assert scan(10, 9, 14, 1) == [(9, (1, 1))] + [(b, (10,)) for b in range(11, 15)]
@@ -113,3 +141,77 @@ def test_jobs_two_equals_one():
     n = 1 << 33
     lo, hi = iroot(n, 3) - 500, math.isqrt(n) // 4
     assert scan(n, lo, hi, 2, jobs=2) == scan(n, lo, hi, 2, jobs=1)
+
+
+# -- min_pal_base: bases up to iroot(n, 3) on the kernel ----------------------
+
+
+def test_min_pal_base_random_four_digit_hits(rng):
+    # random n whose b(n) gives n four or more digits, the kernel's part
+    checked = 0
+    while checked < 120:
+        n = rng.randint(1, 10 ** rng.randint(1, 9))
+        hits = oracle(n, 2, iroot(n, 3), 4)
+        if hits:
+            b, digits = min_pal_base(n)
+            assert (b, digits.digits) == hits[0], n
+            checked += 1
+
+
+def planted(b, p, rng):
+    """n with a (p+1)-digit palindrome in base b on an edge of the kernel's
+    walk, and the name of the edge."""
+    c = rng.choice((1, 2, rng.randint(1, b - 1), b - 1))
+    inner = rng.randint(0, b - 1)
+    return rng.choice(
+        [
+            # b = iroot(n, p): the last base giving n p + 1 digits
+            (b**p + 1, "band end"),
+            (sum(b**i for i in range(p + 1)), "band end"),
+            # b = iroot(n, p + 1) + 1: the first base giving n p + 1 digits
+            ((b - 1) * (b**p + 1) + inner * (b**p - b) // (b - 1), "band start"),
+            # (c, b-1, ..., b-1, c)_b and (c, 0, ..., 0, c)_b: the first and
+            # the last base of the run of leading digit c
+            (c * (b**p + 1) + b**p - b, "run start"),
+            (c * (b**p + 1), "run end"),
+        ]
+    )
+
+
+def test_min_pal_base_first_hit_on_edges(rng):
+    first_hits = dict.fromkeys(("band end", "band start", "run start", "run end"), 0)
+    for _ in range(250):
+        b = rng.randint(3, 1200)
+        p = rng.randint(3, 5)
+        n, edge = planted(b, p, rng)
+        if edge == "band end":
+            assert iroot(n, p) == b
+        elif edge == "band start":
+            assert iroot(n, p + 1) + 1 == b
+        got = min_pal_base(n)
+        assert got == naive_min_pal_base(n), (n, b, edge)
+        first_hits[edge] += got[0] == b
+    # most planted palindromes are the first hit, on every kind of edge
+    assert min(first_hits.values()) >= 30, first_hits
+
+
+def test_first_hit_stops_inside_a_long_run():
+    # (1, b-1, b-1, 1)_b sits on the first base of the run of leading digit 1
+    # in the 4-digit band, about 2**38 bases long: only a search that yields
+    # before the run ends returns
+    b = 1 << 40
+    n = b**3 + (b - 1) * b * b + (b - 1) * b + 1
+    first = next(_palindromic_bases(n, b - 5, iroot(n, 3), 4))
+    assert (first[0], tuple(reversed(first[1]))) == oracle(n, b - 5, b, 4)[0]
+
+
+def test_min_pal_base_pow2_frozen():
+    # b(2**n) for n <= 200, frozen from the per-base oracle by
+    # scripts/freeze_goldens.py; for n >= 150 the hit lies at bases
+    # 2**15 - 1 .. 2**18 - 1, where 2**n has 10 to 13 digits
+    with open(DATA_DIR / "pow2_minbase.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["n"]) for r in rows] == list(range(1, 201))
+    for r in rows:
+        b, rep = min_pal_base(1 << int(r["n"]))
+        assert (b, rep.digits) == (int(r["b"]), tuple(map(int, r["digits"].split()))), r

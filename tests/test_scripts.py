@@ -1,0 +1,36 @@
+"""The command-line scripts under scripts/, run in-process."""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.fixture(scope="module")
+def scan_claim():
+    spec = importlib.util.spec_from_file_location("scan_claim", SCRIPTS / "scan_claim.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestScanClaimJobs:
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_below_one_is_usage_error(self, capsys, scan_claim, pool_sizes, jobs):
+        with pytest.raises(SystemExit) as exc:
+            scan_claim.main(["--max-n", "16", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs must be >= 1" in capsys.readouterr().err
+        assert pool_sizes == []
+
+    def test_capped_at_cpu_count(self, capsys, scan_claim, pool_sizes):
+        argv = ["--min-n", "16", "--max-n", "16"]
+        assert scan_claim.main(argv) == 0
+        serial = capsys.readouterr().out
+        assert scan_claim.main(argv + ["--jobs", "1000000"]) == 0
+        capped = capsys.readouterr().out
+        assert pool_sizes == [3]
+        # the same records; only the timing column may differ
+        assert capped.split("[")[0] == serial.split("[")[0]
