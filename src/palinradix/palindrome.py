@@ -3,11 +3,13 @@ families (3-digit, (1,c,1), and 2-digit) that cover bases beyond any scan.
 
 Base-range scans, and min_pal_base over the bases that give n four or more
 digits, walk the bases by digit count and leading digit and test most of
-them with one modulo each (see _palindromic_bases); min_pal_base tests the
-3-digit bases after those one by one.  Base-range scans are embarrassingly
-parallel: a range is split into contiguous chunks, each chunk is scanned
-independently, and the chunk results are concatenated in order, so the
-merged report is identical for any job count.  The environment variable
+them with one modulo each (see _palindromic_bases); in the 3-digit band a
+scan takes the long runs of one leading digit c from divisors(n - c)
+instead.  min_pal_base tests the 3-digit bases one by one.  Base-range
+scans are embarrassingly parallel: a range is split into contiguous
+chunks, each chunk is scanned independently, and the chunk results are
+concatenated in order, so the merged report is identical for any job
+count.  The environment variable
 PALINRADIX_MAX_BASE, when set, caps the ranges of enumerate_palindromes
 and pow2_complete_scan; a capped scan is reported as non-exhaustive.
 min_pal_base and the closed-form families ignore it.
@@ -22,7 +24,7 @@ from multiprocessing import Pool
 from typing import Iterator, NamedTuple
 
 from .binomial import BinomialClassification, classify_binomial
-from .numtheory import divisors, iroot
+from .numtheory import _MR_LIMIT, divisors, iroot
 from .radix import MAX_BASE, Representation, from_digits, is_palindrome
 
 
@@ -107,6 +109,21 @@ _RUN_MIN = 16
 # Long runs are filtered, and their hits yielded, this many bases at a time,
 # so a search that stops at its first hit tests at most this many past it.
 _SLICE = 1024
+# In the 3-digit band a long run b..end may take its candidates from
+# divisors(n - c) instead.  Costs count in bases of the modulo filter, 55-85
+# ns each on n of 16-60 bits and about 180 ns at 64 bits (CPython 3.11,
+# x86-64).  divisors() costs most where n - c is the product of two primes
+# near its square root, as Brent rho then takes about (n - c)**(1/4) steps:
+# over 1560 such inputs of 16-64 bits it cost at most
+# _DIV_RUN_MIN + 31.7 * (n - c)**(1/4) bases.  The fixed part, up to 4.8k
+# bases, rules below about 28 bits (complete scans of 2**n, n <= 35, whose
+# n - c factor cheaply, ran as fast without it); from 36 bits on the median
+# was 8 bases per (n - c)**(1/4).  A run takes the divisor path only when
+# end - b is at least _DIV_RUN_MIN + _DIV_RUN_ROOT * (n - c)**(1/4), so that
+# it costs no more than the modulo filter, and only while n - c is below
+# the Miller-Rabin bound, so that factorize can prove its factors prime.
+_DIV_RUN_MIN = 4096
+_DIV_RUN_ROOT = 32
 # From this base on, short runs are tested b/16 bases at a time by one list
 # comprehension; below it, one base at a time, which costs less per call on
 # the small n whose searches end there.
@@ -124,9 +141,12 @@ def _palindromic_bases(
     its leading digit c = n // b**p, and c is constant over runs of
     consecutive bases: on a long run, whose last base is an exact integer
     root, a base is a candidate only if b divides n - c; elsewhere n % b is
-    compared with each base's leading digit.  Both tests only filter: every
-    candidate is confirmed by full digit extraction.  Hits are yielded as
-    they are found, so a search may stop at its first one.
+    compared with each base's leading digit.  Where n has 3 digits, a run
+    long enough to pay for factorizing n - c (_DIV_RUN_MIN, _DIV_RUN_ROOT)
+    takes its candidates from divisors(n - c) instead of testing each base.
+    All these tests only filter: every candidate is confirmed by full digit
+    extraction.  Hits are yielded as they are found, in ascending order, so
+    a search may stop at its first one.
 
     >>> [b for b, _ in _palindromic_bases(2**12, 2, 64, 3)]
     [7, 15, 19, 31, 63]
@@ -159,6 +179,18 @@ def _palindromic_bases(
         elif c:  # a long run
             end = min(hi, iroot(n // c, p))  # the run's last base
             m = n - c
+            if (
+                p == 2
+                and end - b >= _DIV_RUN_MIN  # spares most runs the root
+                and m < _MR_LIMIT
+                and end - b >= _DIV_RUN_MIN + _DIV_RUN_ROOT * iroot(m, 4)
+            ):
+                # the run's candidates are the divisors of m in [b, end]
+                for x in [d for d in divisors(m) if b <= d <= end]:
+                    digs = _palindromic_lsf(n, x)
+                    if digs is not None:
+                        yield x, digs
+                b = end + 1
             while b <= end:
                 stop = min(end, b + _SLICE - 1)
                 for x in [x for x in range(b, stop + 1) if not m % x]:
@@ -254,7 +286,9 @@ def min_pal_base(n: int) -> tuple[int, Representation]:
         return b, Representation(b, tuple(reversed(digs)))
     # The 3-digit bases stay on the per-base loop for now (ROADMAP item 6):
     # the minbase-random benchmark computes its references untimed, so a
-    # faster search there runs more passes and makes each run longer.
+    # faster search there runs more passes and makes each run longer.  The
+    # kernel above never reaches its 3-digit divisor path either: up to
+    # iroot(n, 3), n has four or more digits.
     for b in range(cube + 1, math.isqrt(n) + 1):
         digs = _palindromic_lsf(n, b)
         if digs is not None:

@@ -1,10 +1,16 @@
-"""Independent oracles for the palindrome searches.
+"""Independent oracles for the palindrome searches and the factorization,
+and the number-theory helpers only the tests use.
 
-Each converts n to base b with radix.to_digits for every base in turn and
-tests the digit tuple: no bands, no leading-digit runs, no divisibility
-filter, no divisor path.
+The palindrome oracles convert n to base b with radix.to_digits for every
+base in turn and test the digit tuple: no bands, no leading-digit runs, no
+divisibility filter, no divisor path.  The factorization oracle divides by
+every integer in turn: no wheel, no Pollard rho.
 """
 
+import hashlib
+from functools import reduce
+
+from palinradix.numtheory import is_prime, perfect_power
 from palinradix.radix import Representation, is_palindrome, to_digits
 
 
@@ -33,3 +39,60 @@ def naive_min_pal_base(n: int) -> tuple[int, Representation]:
         if is_palindrome(rep):
             return b, rep
         b += 1
+
+
+def scan_digest(hits) -> str:
+    """SHA-256 of (base, most-significant-first digits) hits, one line each
+    as "base:d d d"; the form tests/data/pow2_scan_sha256.csv stores."""
+    text = "".join(f"{b}:{' '.join(map(str, digits))}\n" for b, digits in hits)
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def trial_factorize(n: int, limit: int) -> tuple[dict[int, int], int]:
+    """({p: e}, rest): n's prime factors found by dividing by d = 2, 3, 4, ...
+    while d <= limit and d * d <= rest, and the cofactor left.
+
+    When the loop ends on d * d > rest, rest is 1 or a prime and goes into
+    the factorization (rest becomes 1); otherwise every prime factor of
+    rest exceeds limit.
+    """
+    out: dict[int, int] = {}
+    d = 2
+    while d <= limit and d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1 and d * d > n:
+        out[n] = out.get(n, 0) + 1
+        n = 1
+    return dict(sorted(out.items())), n
+
+
+def prime_power(n: int) -> tuple[int, int] | None:
+    """(p, e) with n = p**e and p prime (e >= 1 allowed), else None."""
+    if n < 2:
+        return None
+    if is_prime(n):
+        return (n, 1)
+    pp = perfect_power(n)
+    if pp and is_prime(pp[0]):
+        return pp
+    return None
+
+
+def multiplicity(n: int, p: int) -> int:
+    """Exponent of p in n: the largest e with p**e | n."""
+    if p < 2:
+        raise ValueError(f"base must be >= 2, got {p}")
+    if n == 0:
+        raise ValueError("multiplicity of 0 is undefined")
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e
+
+
+def product(values) -> int:
+    return reduce(lambda a, b: a * b, values, 1)

@@ -6,15 +6,15 @@ from hypothesis import strategies as st
 
 from palinradix.numtheory import (
     _MR_LIMIT,
+    _TRIAL_BOUND,
     divisors,
     factorize,
     iroot,
     is_prime,
-    multiplicity,
     perfect_power,
-    prime_power,
-    product,
 )
+
+from oracles import multiplicity, prime_power, product, trial_factorize
 
 
 def _sieve(limit):
@@ -78,6 +78,13 @@ class TestFactorize:
         assert all(e >= 1 for e in fac.values())
         assert list(fac) == sorted(fac)
 
+    def test_small_factors_past_mr_limit(self):
+        # past the Miller-Rabin bound the wheel keeps dividing, so a prime
+        # above _TRIAL_BOUND still comes out by trial division
+        assert 3511**7 > _MR_LIMIT
+        assert factorize(3511**7) == {3511: 7}
+        assert factorize(211 * 3511**7) == {211: 1, 3511: 7}
+
     @given(n=st.integers(min_value=1, max_value=64))
     def test_mersenne_cofactors(self, n):
         # stresses the rho path: 2**n - 1 has prime parts past the trial bound
@@ -85,6 +92,46 @@ class TestFactorize:
         fac = factorize(m)
         assert product(p**e for p, e in fac.items()) == m
         assert all(is_prime(p) for p in fac)
+
+
+class TestFactorizeAgainstTrialDivision:
+    """factorize against plain trial division where the wheel stops at
+    _TRIAL_BOUND and Brent rho splits what is left: prime powers and
+    products of primes near the bound, and the n - c of the scan kernel's
+    divisor path."""
+
+    LIMIT = 1 << 12
+
+    def check(self, n):
+        # the primes up to LIMIT must match trial division exactly; what
+        # trial division leaves must split into primes above LIMIT
+        small, rest = trial_factorize(n, self.LIMIT)
+        got = factorize(n)
+        high = {p: e for p, e in got.items() if p not in small}
+        assert {p: e for p, e in got.items() if p in small} == small, n
+        assert product(p**e for p, e in high.items()) == rest, n
+        assert all(p > self.LIMIT and is_prime(p) for p in high), n
+
+    def primes_near_bound(self):
+        flags = _sieve(6 * _TRIAL_BOUND)
+        return [p for p in range(_TRIAL_BOUND // 2, len(flags)) if flags[p]]
+
+    def test_prime_powers(self):
+        for p in self.primes_near_bound():
+            for k in (2, 3, 4):
+                self.check(p**k)
+
+    def test_products_near_bound(self, rng):
+        primes = self.primes_near_bound()
+        for _ in range(400):
+            p, q = rng.choice(primes), rng.choice(primes)
+            self.check(p * q)
+            self.check(p * p * q)
+
+    @pytest.mark.parametrize("n", [38, 43, 50, 60])
+    def test_powers_of_two_minus_c(self, n):
+        for c in range(1, 41):
+            self.check((1 << n) - c)
 
 
 class TestDivisors:

@@ -12,7 +12,8 @@ import pathlib
 
 import pytest
 
-from palinradix.numtheory import iroot
+from palinradix import palindrome
+from palinradix.numtheory import _MR_LIMIT, divisors, iroot
 from palinradix.palindrome import (
     _BLOCK_MIN,
     _RUN_MIN,
@@ -22,7 +23,7 @@ from palinradix.palindrome import (
     pow2_complete_scan,
 )
 
-from oracles import naive_min_pal_base, palindromic_bases as oracle
+from oracles import naive_min_pal_base, palindromic_bases as oracle, scan_digest
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -215,3 +216,195 @@ def test_min_pal_base_pow2_frozen():
     for r in rows:
         b, rep = min_pal_base(1 << int(r["n"]))
         assert (b, rep.digits) == (int(r["b"]), tuple(map(int, r["digits"].split()))), r
+
+
+# -- the divisor path: long 3-digit runs from divisors(n - c) ----------------
+
+
+@pytest.fixture
+def divisor_runs(monkeypatch):
+    """The m = n - c whose divisors the kernel took, in call order."""
+    calls = []
+
+    def spy(m):
+        calls.append(m)
+        return divisors(m)
+
+    monkeypatch.setattr("palinradix.palindrome.divisors", spy)
+    return calls
+
+
+@pytest.fixture
+def short_div_runs(monkeypatch):
+    """Drop the cost bound's root term, so that every 3-digit run of
+    _DIV_RUN_MIN bases or more takes the divisor path: the windows below
+    then reach it on n small enough for the oracle."""
+    monkeypatch.setattr("palinradix.palindrome._DIV_RUN_ROOT", 0)
+
+
+def run_bounds(n, c):
+    """First and last base of the 3-digit run of leading digit c:
+    n // b**2 >= c iff b <= isqrt(n // c)."""
+    return math.isqrt(n // (c + 1)) + 1, math.isqrt(n // c)
+
+
+def takes_divisor_path(n, c, lo, hi):
+    """Whether the kernel, entering the run of c at lo, takes bases lo..hi
+    of it from divisors(n - c)."""
+    bound = palindrome._DIV_RUN_MIN + palindrome._DIV_RUN_ROOT * iroot(n - c, 4)
+    return hi - lo >= bound
+
+
+@pytest.mark.parametrize("n", [1 << 36, 3**23, 10**11 + 3])
+def test_divisor_path_windows(n, divisor_runs, short_div_runs):
+    # windows that start or end inside long runs, or cross from one into
+    # the next; each half-window of 4500+ bases takes the divisor path
+    first1, last1 = run_bounds(n, 1)
+    first2, last2 = run_bounds(n, 2)
+    first3, _ = run_bounds(n, 3)
+    windows = [
+        (last1 - 5000, last1),
+        (last1 - 5000, last1 + 300),  # past isqrt(n): 2-digit bases
+        (first1 + 1000, first1 + 7000),
+        (last2 - 4500, last2 + 4500),
+        (first3 - 4600, first3 + 4600),
+    ]
+    for lo, hi in windows:
+        divisor_runs.clear()
+        assert scan(n, lo, hi, 3) == oracle(n, lo, hi, 3), (lo, hi)
+        assert divisor_runs, (lo, hi)
+    assert takes_divisor_path(n, 2, last2 - 4500, last2)
+
+
+def planted_3digit(c, d, b):
+    return c * b * b + d * b + c
+
+
+def test_divisor_path_hits_on_run_edges(rng, divisor_runs, short_div_runs):
+    # (c, b-1, c)_b puts a hit on the first base of the run of c, (c, 0, c)_b
+    # on the last; windows of 4200 bases on either side take the divisor path
+    for _ in range(6):
+        b = rng.randint(70_000, 120_000)
+        c = rng.choice((1, 2))
+        for d, edge in ((b - 1, 0), (0, 1)):
+            n = planted_3digit(c, d, b)
+            assert run_bounds(n, c)[edge] == b
+            lo, hi = b - 4200, b + 4200
+            divisor_runs.clear()
+            got = scan(n, lo, hi, 3)
+            assert (b, (c, d, c)) in got
+            assert got == oracle(n, lo, hi, 3), (n, b)
+            assert n - c in divisor_runs, (n, b)
+
+
+def test_divisor_path_hit_next_to_window(rng, divisor_runs, short_div_runs):
+    # a hit just before or just after a window inside its run must not be
+    # yielded, and one on the window's edge must be
+    for _ in range(6):
+        b = rng.randint(70_000, 120_000)
+        c = rng.choice((1, 2))
+        n = planted_3digit(c, rng.randint(2 * b // 5, 3 * b // 5), b)
+        first, last = run_bounds(n, c)
+        for lo, hi in ((b + 1, b + 4200), (b - 4200, b - 1), (b, b + 4200), (b - 4200, b)):
+            assert first <= lo and hi <= last and takes_divisor_path(n, c, lo, hi)
+            divisor_runs.clear()
+            got = scan(n, lo, hi, 3)
+            assert got == oracle(n, lo, hi, 3), (n, lo, hi)
+            assert ((b, (c, n // b % b, c)) in got) == (lo <= b <= hi)
+            assert divisor_runs == [n - c]
+
+
+def test_divisor_path_jobs_two_splits_a_run(
+    rng, pool_sizes, divisor_runs, short_div_runs
+):
+    # two chunks of 6000 bases that meet inside a run, with a hit on the
+    # last base of the first chunk or the first base of the second
+    for shift in (0, 1, 0, 1):
+        b = rng.randint(70_000, 200_000)
+        n = planted_3digit(1, rng.randint(2 * b // 5, 3 * b // 5), b)
+        lo = b - 6000 + shift  # the second chunk starts at lo + 6000
+        hi = lo + 11_999
+        divisor_runs.clear()
+        got = scan(n, lo, hi, 3, jobs=2)
+        assert got == scan(n, lo, hi, 3) == oracle(n, lo, hi, 3), (n, lo)
+        assert divisor_runs.count(n - 1) == 3  # once a chunk, once serially
+    assert pool_sizes == [2, 2, 2, 2]
+
+
+@pytest.mark.parametrize("n", [1 << 36, 10**11 + 3])
+def test_divisor_path_cost_bound(n, divisor_runs):
+    # with the real constants, the run of leading digit 1 entered
+    # _DIV_RUN_MIN + _DIV_RUN_ROOT * iroot(n - 1, 4) bases before its last
+    # base takes the divisor path, and entered one base later does not
+    _, last = run_bounds(n, 1)
+    lo = last - palindrome._DIV_RUN_MIN - palindrome._DIV_RUN_ROOT * iroot(n - 1, 4)
+    assert takes_divisor_path(n, 1, lo, last)
+    assert not takes_divisor_path(n, 1, lo + 1, last)
+    assert scan(n, lo, last, 3) == oracle(n, lo, last, 3)
+    assert divisor_runs == [n - 1]
+    divisor_runs.clear()
+    assert scan(n, lo + 1, last, 3) == oracle(n, lo + 1, last, 3)
+    assert divisor_runs == []
+
+
+def test_divisor_path_off_past_mr_limit(monkeypatch, divisor_runs):
+    # with the cost bound out of the way every long 3-digit run would take
+    # the divisor path; from 2**82 on n - c passes the Miller-Rabin bound,
+    # so the modulo filter must keep the runs
+    monkeypatch.setattr("palinradix.palindrome._DIV_RUN_MIN", 0)
+    monkeypatch.setattr("palinradix.palindrome._DIV_RUN_ROOT", 0)
+    for n in (1 << 82, (1 << 82) + 12345, 3**55):
+        assert n - math.isqrt(n) > _MR_LIMIT
+        for c in (1, 2, 5):
+            _, last = run_bounds(n, c)
+            assert scan(n, last - 1500, last, 3) == oracle(n, last - 1500, last, 3)
+        assert divisor_runs == []
+    # below the bound the same windows do take it
+    n = 1 << 60
+    for c in (1, 2, 5):
+        _, last = run_bounds(n, c)
+        assert scan(n, last - 1500, last, 3) == oracle(n, last - 1500, last, 3)
+    assert divisor_runs == [n - 1, n - 2, n - 5]
+
+
+def test_divisor_path_off_on_short_windows_of_2_80(divisor_runs):
+    # windows of 6000 bases at the ends of the runs of 2**80: rho's worst
+    # case on n - c, about 2**20 steps, would cost far more than the window
+    n = 1 << 80
+    for c in range(2, 40):
+        _, last = run_bounds(n, c)
+        assert not takes_divisor_path(n, c, last - 6000, last)
+        got = scan(n, last - 6000, last, 3)
+        if c in (2, 13, 39):
+            assert got == oracle(n, last - 6000, last, 3), c
+    assert divisor_runs == []
+
+
+def test_divisor_path_off_in_four_digit_band(divisor_runs, short_div_runs):
+    # the run of leading digit 1 where 2**66 + 1 has 4 digits is about
+    # 840k bases long, longer than the bound without its root term, yet
+    # stays on the modulo filter: the divisor path is for 3-digit runs only,
+    # and min_pal_base, whose kernel part has 4 or more digits, never takes it
+    b = 1 << 22
+    n = b**3 + 1  # (1, 0, 0, 1)_b, on the run's last base
+    lo = iroot(n // 2, 3) + 1
+    bound = palindrome._DIV_RUN_MIN + palindrome._DIV_RUN_ROOT * iroot(n - 1, 4)
+    assert b - lo >= bound
+    hits = list(_palindromic_bases(n, lo, b, 4))
+    assert hits[-1] == (b, [1, 0, 0, 1])
+    assert divisor_runs == []
+
+
+def test_pow2_scans_frozen(divisor_runs):
+    # one SHA-256 per n of the hits in [2, isqrt(2**n)], frozen from the
+    # per-base oracle by scripts/freeze_goldens.py; n = 47, 48 are frozen
+    # too, but left out here for time
+    with open(DATA_DIR / "pow2_scan_sha256.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["n"]) for r in rows] == list(range(35, 49))
+    for r in rows[:12]:
+        n = 1 << int(r["n"])
+        hits = scan(n, 2, math.isqrt(n), 2)
+        assert len(hits) == int(r["hits"]), r
+        assert scan_digest(hits) == r["sha256"], r
+    assert divisor_runs
