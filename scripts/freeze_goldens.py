@@ -10,7 +10,8 @@ b(2**n) list for n <= 200 comes from tests/oracles.py, which tests every
 base in turn, not from min_pal_base; it takes about 20 s.  So does the
 SHA-256 of the hits of 2**n in [2, isqrt(2**n)] for n = 35..48, not the
 scan kernel; it takes about 3 minutes.  Rerun only if the transcriptions
-change.
+change.  write_tables(directory) writes the five tables alone, in well
+under a second.
 """
 
 import csv
@@ -28,8 +29,7 @@ POW2_MINBASE_MAX_N = 200
 POW2_SCAN_N = range(35, 49)
 
 
-def write(name: str, header: tuple[str, ...], rows) -> None:
-    path = DATA_DIR / name
+def write(path: pathlib.Path, header: tuple[str, ...], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -42,17 +42,32 @@ def write(name: str, header: tuple[str, ...], rows) -> None:
 
 def main() -> None:
     DATA_DIR.mkdir(parents=True, exist_ok=True)
+    write_tables(DATA_DIR)
+    write(DATA_DIR / "pow2_minbase.csv", ("n", "b", "digits"), pow2_minbase_rows())
     write(
-        "table1.csv",
+        DATA_DIR / "pow2_scan_sha256.csv", ("n", "hits", "sha256"), pow2_scan_rows()
+    )
+
+
+def write_tables(directory: pathlib.Path) -> None:
+    """table1.csv .. table5.csv in directory, from tests/golden_data.py."""
+    write(
+        directory / "table1.csv",
         ("N", "b"),
         [(n, b) for n, b in enumerate(G.TABLE1_MIN_BASES, start=1)],
     )
-    write("table2.csv", ("n", "b", "c", "d"), G.TABLE2_ROWS)
-    write("table3.csv", ("n", "k", "x", "r", "b", "representation"), G.TABLE3_ROWS)
-    write("table4.csv", ("p", "n", "b", "representation", "binomial"), G.TABLE4_ROWS)
-    write("table5.csv", ("n", "representation", "palindromic"), G.TABLE5_ROWS)
-    write("pow2_minbase.csv", ("n", "b", "digits"), pow2_minbase_rows())
-    write("pow2_scan_sha256.csv", ("n", "hits", "sha256"), pow2_scan_rows())
+    write(directory / "table2.csv", ("n", "b", "c", "d"), G.TABLE2_ROWS)
+    write(
+        directory / "table3.csv",
+        ("n", "k", "x", "r", "b", "representation"),
+        G.TABLE3_ROWS,
+    )
+    write(
+        directory / "table4.csv",
+        ("p", "n", "b", "representation", "binomial"),
+        G.TABLE4_ROWS,
+    )
+    write(directory / "table5.csv", ("n", "representation", "palindromic"), G.TABLE5_ROWS)
 
 
 def pow2_minbase_rows():

@@ -12,10 +12,8 @@ from .radix import (
     ScaledRepresentation,
     from_digits,
     is_palindrome,
-    reduce_leading_zeros,
     split_common_factor,
     to_digits,
-    try_scale,
 )
 from .binomial import (
     BinomialClassification,
@@ -64,8 +62,6 @@ __all__ = [
     "to_digits",
     "from_digits",
     "is_palindrome",
-    "reduce_leading_zeros",
-    "try_scale",
     "split_common_factor",
     "central_binomial",
     "construct_binomial",

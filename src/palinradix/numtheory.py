@@ -4,13 +4,16 @@ Primality is deterministic Miller-Rabin over the first 13 prime witnesses,
 which is exact for all n < 3_317_044_064_679_887_385_961_981 (Sorenson and
 Webster); larger inputs are rejected rather than answered probabilistically.
 Factorization divides by the primes up to _TRIAL_BOUND = 200 with a 2/3/5
-wheel, then splits what is left with Brent's variant of Pollard rho, which
+wheel (_trial_divide, which returns the factors found and the cofactor left,
+so that a caller can weigh the rest of the factorization before paying for
+it), then splits what is left with Brent's variant of Pollard rho, which
 finds a prime factor p in about sqrt(p) steps.  The bound was measured: on
 40-60-bit inputs, the scan kernel's n - c among them, divisors() costs least
 with it between 100 and 300, 15-20% more at 10**3, and 30-100x more at
 10**6, where the wheel alone takes about 10 ms.  A cofactor at or past the
 Miller-Rabin bound cannot be proved prime, so for it the wheel runs on, to
-10**6, until what is left falls below the bound.
+10**6, until what is left falls below the bound.  A cofactor of 1 means
+that trial division split n fully, as it does 2**n and p**k for p <= 200.
 """
 
 from __future__ import annotations
@@ -82,6 +85,39 @@ def _brent_rho(n: int) -> int:
 
 _TRIAL_BOUND = 200
 _TRIAL_BOUND_PAST_MR = 1_000_000
+_WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
+
+
+def _trial_divide(
+    n: int, bound: int = _TRIAL_BOUND, floor: int = 0
+) -> tuple[dict[int, int], int]:
+    """({p: e}, m): the prime factors p <= bound of n >= 1, found with a
+    2/3/5 wheel while the cofactor m stays >= floor, and that cofactor.
+
+    When the wheel passes sqrt(m), m is 1 or a prime, which goes into the
+    factors, and m is returned as 1: n is then fully split.
+
+    >>> _trial_divide(2**10 * 3 * 1009**2)
+    ({2: 10, 3: 1}, 1018081)
+    >>> _trial_divide(2**10 * 3 * 1009)
+    ({2: 10, 3: 1, 1009: 1}, 1)
+    """
+    out: dict[int, int] = {}
+    for p in (2, 3, 5):
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    p, i = 7, 0
+    while p * p <= n and p <= bound and n >= floor:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += _WHEEL[i]
+        i = (i + 1) % 8
+    if 1 < n < p * p:  # no prime factor below p: n is prime
+        out[n] = 1
+        n = 1
+    return out, n
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -92,22 +128,11 @@ def factorize(n: int) -> dict[int, int]:
     """
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n}")
-    out: dict[int, int] = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    # 2/3/5 wheel
-    p, wheel = 7, (4, 2, 4, 2, 4, 6, 2, 6)
-    i = 0
-    while p * p <= n and (
-        p <= _TRIAL_BOUND or p <= _TRIAL_BOUND_PAST_MR and n >= _MR_LIMIT
-    ):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += wheel[i]
-        i = (i + 1) % 8
+    out, n = _trial_divide(n)
+    if n >= _MR_LIMIT:
+        more, n = _trial_divide(n, _TRIAL_BOUND_PAST_MR, _MR_LIMIT)
+        for p, e in more.items():
+            out[p] = out.get(p, 0) + e
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()

@@ -5,11 +5,14 @@ Base-range scans, and min_pal_base over the bases that give n four or more
 digits, walk the bases by digit count and leading digit and test most of
 them with one modulo each (see _palindromic_bases); in the 3-digit band a
 scan takes the long runs of one leading digit c from divisors(n - c)
-instead.  min_pal_base tests the 3-digit bases one by one.  Base-range
-scans are embarrassingly parallel: a range is split into contiguous
-chunks, each chunk is scanned independently, and the chunk results are
-concatenated in order, so the merged report is identical for any job
-count.  The environment variable
+instead.  Where n has an even number of digits, a palindrome forces
+(b + 1) | n, so from base 1024 on such a band's candidates come from
+divisors(n) whenever that costs less than scanning it; for 2**n they are
+the bases 2**x - 1 alone.  min_pal_base tests the 3-digit bases one by
+one.  Base-range scans are embarrassingly parallel: a range is split into
+contiguous chunks, each chunk is scanned independently, and the chunk
+results are concatenated in order, so the merged report is identical for
+any job count.  The environment variable
 PALINRADIX_MAX_BASE, when set, caps the ranges of enumerate_palindromes
 and pow2_complete_scan; a capped scan is reported as non-exhaustive.
 min_pal_base and the closed-form families ignore it.
@@ -19,12 +22,13 @@ from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Iterator, NamedTuple
 
 from .binomial import BinomialClassification, classify_binomial
-from .numtheory import _MR_LIMIT, divisors, iroot
+from .numtheory import _MR_LIMIT, _trial_divide, divisors, iroot
 from .radix import MAX_BASE, Representation, from_digits, is_palindrome
 
 
@@ -128,6 +132,35 @@ _DIV_RUN_ROOT = 32
 # comprehension; below it, one base at a time, which costs less per call on
 # the small n whose searches end there.
 _BLOCK_MIN = 1024
+# Where n has an even number of digits, a palindrome forces (b + 1) | n, so
+# such a band's candidates are d - 1 for the divisors d of n.  A band is
+# taken that way only from _BLOCK_MIN on: below it bands hold a few bases,
+# which cost less to scan than an integer root and a divisor filter.  There
+# the rest b..end of a band is taken that way once divisors(n) is known, or
+# when end - b is at least _divisors_cost(n).  divisors() builds and sorts
+# its list in 0.3-1.1 us a divisor (n of 20-252 bits, up to 276k divisors),
+# so each divisor counts as _DIV_EACH bases of the modulo filter.
+_DIV_EACH = 16
+
+
+def _divisors_cost(n: int) -> float:
+    """An upper bound on what divisors(n) costs, in bases of the scan; inf
+    where factorize cannot prove the cofactor's factors prime.
+
+    Trial division splits n into the factors up to _TRIAL_BOUND and a
+    cofactor m.  Each divisor costs _DIV_EACH bases; their count is the
+    product of e + 1 over the split-off factors, times at most 2**k for m,
+    whose k prime factors all exceed 2**7.  A cofactor m > 1 adds Brent
+    rho, bounded as for the 3-digit runs (_DIV_RUN_MIN, _DIV_RUN_ROOT).
+    """
+    factors, m = _trial_divide(n)
+    if m >= _MR_LIMIT:
+        return math.inf
+    count = math.prod(e + 1 for e in factors.values()) << m.bit_length() // 7
+    cost = _DIV_EACH * count
+    if m > 1:
+        cost += _DIV_RUN_MIN + _DIV_RUN_ROOT * iroot(m, 4)
+    return cost
 
 
 def _palindromic_bases(
@@ -144,9 +177,16 @@ def _palindromic_bases(
     compared with each base's leading digit.  Where n has 3 digits, a run
     long enough to pay for factorizing n - c (_DIV_RUN_MIN, _DIV_RUN_ROOT)
     takes its candidates from divisors(n - c) instead of testing each base.
-    All these tests only filter: every candidate is confirmed by full digit
-    extraction.  Hits are yielded as they are found, in ascending order, so
-    a search may stop at its first one.
+    Where n has an even number p + 1 of digits, a palindrome forces
+    (b + 1) | n: from _BLOCK_MIN on, the band b..end = iroot(n, p) takes
+    its candidates d - 1 from the divisors d of n in [b + 1, end + 1], and
+    the walk resumes one digit lower.  It does so once divisors(n) is
+    known, or when end - b is at least _divisors_cost(n): divisors(n) is
+    computed at most once a call, when a band first pays for it, and never
+    while trial division leaves a cofactor past the Miller-Rabin bound.
+    All these tests only filter: every candidate is confirmed by full
+    digit extraction.  Hits are yielded as they are found, in ascending
+    order, so a search may stop at its first one.
 
     >>> [b for b, _ in _palindromic_bases(2**12, 2, 64, 3)]
     [7, 15, 19, 31, 63]
@@ -160,8 +200,27 @@ def _palindromic_bases(
     if p < min_digits - 1:
         return
     b, run_min = lo, _RUN_MIN * p
+    cost = divs = None  # _divisors_cost(n) and divisors(n), when first needed
+    scanned = 0  # an odd p whose band is scanned: divisors(n) cost more
     while p and b <= hi:
         c = n // b**p
+        if b >= _BLOCK_MIN and c and p & 1 and p != scanned:
+            # n has p + 1 digits, an even number: (b + 1) | n
+            end = min(hi, iroot(n, p))  # the band's last base
+            if divs is None:
+                if cost is None:
+                    cost = _divisors_cost(n)
+                if end - b >= cost:
+                    divs = divisors(n)
+            if divs is not None:
+                lo_d, hi_d = bisect_left(divs, b + 1), bisect_right(divs, end + 1)
+                for d in divs[lo_d:hi_d]:
+                    digs = _palindromic_lsf(n, d - 1)
+                    if digs is not None:
+                        yield d - 1, digs
+                b = end + 1
+                continue
+            scanned = p
         if b < run_min * c:  # a short run
             # a block b..e is tested only where all of it gives n p + 1 digits
             if b < _BLOCK_MIN or (e := min(hi, b + (b >> 4))) ** p > n:
@@ -266,11 +325,14 @@ def min_pal_base(n: int) -> tuple[int, Representation]:
 
     Any representation with three or more digits needs b <= isqrt(n).  The
     bases up to iroot(n, 3), which give n four or more digits, are searched
-    by the band kernel _palindromic_bases; the 3-digit bases after them are
-    tested one by one.  Beyond isqrt(n) only 1- and 2-digit representations
-    remain: the 2-digit palindromes are (c,c)_b with n = c*(b+1), found
-    through the divisors of n.  (1,1)_{n-1} always qualifies for n >= 3, so
-    the search terminates.
+    by the band kernel _palindromic_bases: from base 1024 on, a band where
+    n has an even number of digits takes its candidates from divisors(n)
+    when trial division splits n cheaply enough (_divisors_cost), as it
+    does 2**n, whose candidates there are the bases 2**x - 1.  The 3-digit
+    bases after them are tested one by one.  Beyond isqrt(n) only 1- and
+    2-digit representations remain: the 2-digit palindromes are (c,c)_b
+    with n = c*(b+1), found through the divisors of n.  (1,1)_{n-1}
+    always qualifies for n >= 3, so the search terminates.
 
     >>> min_pal_base(13)
     (3, Representation(base=3, digits=(1, 1, 1)))

@@ -14,7 +14,7 @@ import json
 from typing import NamedTuple
 
 from .binomial import classify_binomial
-from .palindrome import complete_scan_bound, min_pal_base, three_digit_reps
+from .palindrome import _scan_chunk, complete_scan_bound, min_pal_base
 from .radix import Representation, is_palindrome, split_common_factor, to_digits
 
 PRIMES_TO_29 = (3, 5, 7, 11, 13, 17, 19, 23, 29)
@@ -65,15 +65,18 @@ def table1_rows(n_max: int = 100) -> list[Table1Row]:
 
 
 def table2_rows(n_max: int = 20) -> list[Table2Row]:
-    """Non-binomial 3-digit palindromes 2**n = (c,d,c)_b for n <= n_max."""
-    rows = []
-    for n in range(1, n_max + 1):
-        value = 1 << n
-        for b in range(2, complete_scan_bound(n) + 1):
-            for c, d in three_digit_reps(value, b):
-                if classify_binomial(Representation(b, (c, d, c))) is None:
-                    rows.append(Table2Row(n, b, c, d))
-    return rows
+    """Non-binomial 3-digit palindromes 2**n = (c,d,c)_b for n <= n_max.
+
+    They are the 3-digit records of the scan of bases 2..isqrt(2**n), the
+    serial body of enumerate_palindromes without its PALINRADIX_MAX_BASE
+    cap, which the tables ignore.
+    """
+    return [
+        Table2Row(n, rec.rep.base, *rec.rep.digits[:2])
+        for n in range(1, n_max + 1)
+        for rec in _scan_chunk((1 << n, 2, complete_scan_bound(n), 3))
+        if rec.digit_count == 3 and rec.binomial is None
+    ]
 
 
 def table3_rows(n_max: int = 64) -> list[Table3Row]:

@@ -1,5 +1,5 @@
 """Independent oracles for the palindrome searches and the factorization,
-and the number-theory helpers only the tests use.
+and the number-theory and digit helpers only the tests use.
 
 The palindrome oracles convert n to base b with radix.to_digits for every
 base in turn and test the digit tuple: no bands, no leading-digit runs, no
@@ -9,6 +9,7 @@ every integer in turn: no wheel, no Pollard rho.
 
 import hashlib
 from functools import reduce
+from typing import Sequence
 
 from palinradix.numtheory import is_prime, perfect_power
 from palinradix.radix import Representation, is_palindrome, to_digits
@@ -96,3 +97,39 @@ def multiplicity(n: int, p: int) -> int:
 
 def product(values) -> int:
     return reduce(lambda a, b: a * b, values, 1)
+
+
+def reduce_leading_zeros(
+    digits: Sequence[int], base: int
+) -> tuple[int, Representation]:
+    """Strip the z leading/trailing zeros from a palindromic digit sequence.
+
+    Returns (z, core) with value(input) = base**z * value(core).  A palindrome
+    has equal numbers of leading and trailing zeros, so any asymmetric zero
+    padding means the input was not palindromic and is rejected.
+    """
+    digs = list(digits)
+    if not digs:
+        raise ValueError("digit sequence must be nonempty")
+    for d in digs:
+        if not 0 <= d < base:
+            raise ValueError(f"digit {d} out of range for base {base}")
+    if digs != digs[::-1]:
+        raise ValueError("digit sequence is not palindromic")
+    if all(d == 0 for d in digs):
+        return len(digs) - 1, Representation(base, (0,))
+    z = 0
+    while digs[z] == 0:
+        z += 1
+    core = digs[z:len(digs) - z]
+    return z, Representation(base, tuple(core))
+
+
+def try_scale(rep: Representation, alpha: int) -> Representation | None:
+    """Digit-wise alpha-multiple of rep, or None when any digit overflows."""
+    if alpha < 1:
+        raise ValueError(f"alpha must be >= 1, got {alpha}")
+    scaled = tuple(alpha * d for d in rep.digits)
+    if any(d >= rep.base for d in scaled):
+        return None
+    return Representation(rep.base, scaled)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from palinradix.numtheory import (
     _MR_LIMIT,
     _TRIAL_BOUND,
+    _trial_divide,
     divisors,
     factorize,
     iroot,
@@ -132,6 +133,36 @@ class TestFactorizeAgainstTrialDivision:
     def test_powers_of_two_minus_c(self, n):
         for c in range(1, 41):
             self.check((1 << n) - c)
+
+
+class TestTrialDivide:
+    """_trial_divide against plain trial division by 2, 3, 4, ..., 200."""
+
+    def check(self, n):
+        factors, m = _trial_divide(n)
+        small, rest = trial_factorize(n, _TRIAL_BOUND)
+        if m > 1:  # no prime up to the bound divides m
+            assert (factors, m) == (small, rest), n
+        elif rest > 1:  # a prime cofactor, folded in: the next prime is 211
+            assert factors == {**small, rest: 1} and rest < 211**2, n
+        else:
+            assert factors == small, n
+
+    def test_fully_split(self):
+        for n in (1, 2, 1 << 200, 3**100, 199**7, 2**5 * 199**3, 7**15 * 11):
+            assert _trial_divide(n)[1] == 1, n
+            self.check(n)
+        # a prime cofactor below 211**2 is folded in
+        assert _trial_divide(2**10 * 40009) == ({2: 10, 40009: 1}, 1)
+
+    def test_random(self, rng):
+        for _ in range(2000):
+            self.check(rng.randint(1, 10 ** rng.randint(1, 30)))
+
+    def test_cofactor_left(self):
+        assert _trial_divide(3 * 211**2) == ({3: 1}, 211**2)
+        assert _trial_divide(2**89 - 1) == ({}, 2**89 - 1)  # a prime past _MR_LIMIT
+        assert _trial_divide(3511**7) == ({}, 3511**7)
 
 
 class TestDivisors:

@@ -10,11 +10,11 @@ from palinradix.radix import (
     digits_value,
     from_digits,
     is_palindrome,
-    reduce_leading_zeros,
     split_common_factor,
     to_digits,
-    try_scale,
 )
+
+from oracles import reduce_leading_zeros, try_scale
 
 
 class TestToDigits:

@@ -13,7 +13,7 @@ import pathlib
 import pytest
 
 from palinradix import palindrome
-from palinradix.numtheory import _MR_LIMIT, divisors, iroot
+from palinradix.numtheory import _MR_LIMIT, _trial_divide, divisors, iroot
 from palinradix.palindrome import (
     _BLOCK_MIN,
     _RUN_MIN,
@@ -23,7 +23,12 @@ from palinradix.palindrome import (
     pow2_complete_scan,
 )
 
-from oracles import naive_min_pal_base, palindromic_bases as oracle, scan_digest
+from oracles import (
+    naive_min_pal_base,
+    palindromic_bases as oracle,
+    scan_digest,
+    trial_factorize,
+)
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -383,8 +388,8 @@ def test_divisor_path_off_on_short_windows_of_2_80(divisor_runs):
 def test_divisor_path_off_in_four_digit_band(divisor_runs, short_div_runs):
     # the run of leading digit 1 where 2**66 + 1 has 4 digits is about
     # 840k bases long, longer than the bound without its root term, yet
-    # stays on the modulo filter: the divisor path is for 3-digit runs only,
-    # and min_pal_base, whose kernel part has 4 or more digits, never takes it
+    # never takes divisors(n - c): that path is for 3-digit runs only.  The
+    # band has an even digit count, so it takes divisors(n) instead.
     b = 1 << 22
     n = b**3 + 1  # (1, 0, 0, 1)_b, on the run's last base
     lo = iroot(n // 2, 3) + 1
@@ -392,7 +397,7 @@ def test_divisor_path_off_in_four_digit_band(divisor_runs, short_div_runs):
     assert b - lo >= bound
     hits = list(_palindromic_bases(n, lo, b, 4))
     assert hits[-1] == (b, [1, 0, 0, 1])
-    assert divisor_runs == []
+    assert divisor_runs == [n]
 
 
 def test_pow2_scans_frozen(divisor_runs):
@@ -408,3 +413,260 @@ def test_pow2_scans_frozen(divisor_runs):
         assert len(hits) == int(r["hits"]), r
         assert scan_digest(hits) == r["sha256"], r
     assert divisor_runs
+
+
+# -- the even-band path: even digit counts from divisors(n) -------------------
+
+
+def even_bands(n, lo=_BLOCK_MIN):
+    """(first, last) base of each band from lo on where n has an even
+    number p + 1 of digits, p >= 3."""
+    out = []
+    for p in range(3, n.bit_length(), 2):
+        first, last = max(lo, iroot(n, p + 1) + 1), iroot(n, p)
+        if first <= last:
+            out.append((first, last))
+    return out
+
+
+@pytest.mark.parametrize(
+    "n, taken",
+    [
+        (3**26, True),  # p**k: the 4-digit band is 1263..13647
+        (7**15, True),
+        (1 << 41, True),
+        (1 << 43, True),
+        (2**20 * 3**5 * 1000003, True),  # a prime cofactor past 200**2
+        # highly composite: 6720 divisors cost more than the 8853 bases
+        # of the band 1024..9877
+        (963761198400, False),
+    ],
+)
+def test_even_band_complete_windows(n, taken, divisor_runs):
+    # every base up to iroot(n, 3) + 500, with the 4-digit band from 1024 on
+    hi = iroot(n, 3) + 500
+    for min_digits in (2, 3):
+        assert scan(n, 2, hi, min_digits) == oracle(n, 2, hi, min_digits)
+    assert divisor_runs == ([n, n] if taken else [])
+
+
+def test_even_band_pow2_first_hits(divisor_runs):
+    # the b(2**n) of the frozen list that lie in an even band past 1024;
+    # a band shorter than _divisors_cost(2**n) = 16 * (n + 1) bases is
+    # scanned, and so is every later one until one pays for divisors(2**n)
+    with open(DATA_DIR / "pow2_minbase.csv", encoding="utf-8", newline="") as fh:
+        rows = [
+            (int(r["n"]), int(r["b"]), tuple(map(int, r["digits"].split())))
+            for r in csv.DictReader(fh)
+        ]
+    rows = [r for r in rows if r[1] >= _BLOCK_MIN and len(r[2]) % 2 == 0]
+    assert len(rows) > 50
+    taken = 0
+    for n_exp, b, digits in rows:
+        divisor_runs.clear()
+        got = min_pal_base(1 << n_exp)
+        assert (got[0], got[1].digits) == (b, digits), n_exp
+        assert divisor_runs in ([], [1 << n_exp]), n_exp
+        taken += bool(divisor_runs)
+    assert taken > len(rows) * 3 // 4
+
+
+def test_even_band_random_first_hits(rng, divisor_runs):
+    # random (c, d, d, c)_b past 1024; every other n is split by trial
+    # division to 200, so that the divisor path may take its band
+    taken = 0
+    for i in range(40):
+        if i % 2:
+            b = rng.choice(SPLIT_BASES)
+            n = split_planted(b, b // 4, b - 1, rng, max_divisors=10**9)[2]
+        else:
+            b = rng.randint(_BLOCK_MIN + 1, 4000)
+            n = rng.randint(1, b - 1) * (b**3 + 1) + rng.randint(0, b - 1) * (b * b + b)
+        divisor_runs.clear()
+        assert min_pal_base(n) == naive_min_pal_base(n), n
+        taken += divisor_runs == [n]
+    assert taken >= 10
+
+
+def test_even_band_planted_edges(rng, divisor_runs):
+    # even-length palindromes on the first and the last base of a 4- or
+    # 6-digit band past 1024, found as first hits and inside windows
+    first_hits = 0
+    for _ in range(60):
+        b = rng.randint(_BLOCK_MIN + 1, 3000)
+        p = rng.choice((3, 5))
+        n = rng.choice(
+            [
+                b**p + 1,  # (1, 0, ..., 0, 1)_b: b = iroot(n, p), the band's end
+                sum(b**i for i in range(p + 1)),  # the repunit, likewise
+                b ** (p + 1) - 1,  # (b-1, ..., b-1)_b: b = iroot(n, p + 1) + 1
+                (b - 1) * (b**p + 1),  # (b-1, 0, ..., 0, b-1)_b, on the band's start
+            ]
+        )
+        assert (n // b**p) in (1, b - 1) and iroot(n, p + 1) < b <= iroot(n, p)
+        got = min_pal_base(n)
+        assert got == naive_min_pal_base(n), (n, b)
+        first_hits += got[0] == b
+        for lo, hi in ((b - 40, b), (b, b + 40), (b - 2, b + 2)):
+            assert scan(n, lo, hi, 4) == oracle(n, lo, hi, 4), (n, lo, hi)
+    assert first_hits >= 20
+
+
+# bases b past 1024 with b + 1 a product of primes below 200
+SPLIT_BASES = (1199, 1295, 1499, 2047, 2186, 2399, 3071, 3999, 5831, 6143, 7999)
+
+
+def split_planted(b, c_lo, c_hi, rng, max_divisors):
+    """(c, d, n) with n = (c, d, d, c)_b = (b + 1) * (c * (b*b - b + 1) + d * b)
+    for c in [c_lo, c_hi], split by trial division to 200 into at most
+    max_divisors divisors, so that divisors(n) costs little; b is one of
+    SPLIT_BASES."""
+    for _ in range(20_000):
+        c, d = rng.randint(c_lo, c_hi), rng.randint(0, b - 1)
+        n = c * (b**3 + 1) + d * (b * b + b)
+        factors, rest = trial_factorize(n, 200)
+        if rest == 1 and math.prod(e + 1 for e in factors.values()) <= max_divisors:
+            return c, d, n
+    raise AssertionError(f"no split n for base {b}")
+
+
+@pytest.mark.parametrize("b", [_BLOCK_MIN - 1, _BLOCK_MIN])  # 1024 and 5**2 * 41
+def test_even_band_planted_at_block_min(b, rng, divisor_runs):
+    # (c, d, d, c)_b on base 1023 is found by the scan, on base 1024 by the
+    # divisor path; windows start before, on and after it
+    for _ in range(3):
+        c, d, n = split_planted(b, 500, b - 1, rng, max_divisors=400)
+        hi = iroot(n, 3) + 10
+        assert hi - _BLOCK_MIN > palindrome._divisors_cost(n)
+        for lo in (1000, b - 1, b, b + 1):
+            divisor_runs.clear()
+            got = scan(n, lo, hi, 3)
+            assert got == oracle(n, lo, hi, 3), (n, lo)
+            assert ((b, (c, d, d, c)) in got) == (lo <= b)
+            assert divisor_runs == [n], (n, lo)
+        # below 1024 the band is scanned
+        divisor_runs.clear()
+        lo = iroot(n, 4) + 1
+        assert scan(n, lo, _BLOCK_MIN - 1, 3) == oracle(n, lo, _BLOCK_MIN - 1, 3)
+        assert divisor_runs == []
+
+
+@pytest.mark.parametrize("n", [3**26, 1 << 43])
+def test_even_band_windows_inside(n, divisor_runs):
+    # windows that start or end inside the 4-digit band, or cross from the
+    # band into the 3-digit one
+    first, last = even_bands(n)[-1]
+    assert iroot(n, 3) == last
+    for lo, hi in (
+        (first + 100, last - 100),
+        (first - 50, first + 3000),
+        (last - 3000, last + 40),
+        (last - 3000, last),
+        (first, first + 1500),
+    ):
+        divisor_runs.clear()
+        assert scan(n, lo, hi, 3) == oracle(n, lo, hi, 3), (lo, hi)
+        assert divisor_runs == [n], (lo, hi)
+
+
+def test_even_band_jobs_two_splits_a_band(rng, pool_sizes, divisor_runs):
+    # two chunks of 6000 bases that meet inside the 4-digit band of
+    # (c, d, d, c)_7999, with a hit planted on the last base of the first
+    # chunk or the first base of the second
+    for shift in (0, 1, 0, 1):
+        b = 7999
+        c, d, n = split_planted(b, 6, 30, rng, max_divisors=300)
+        lo = b - 6000 + shift  # the second chunk starts at lo + 6000
+        hi = lo + 11_999
+        assert iroot(n, 4) < lo and hi <= iroot(n, 3)
+        assert 6000 > palindrome._divisors_cost(n)
+        divisor_runs.clear()
+        got = scan(n, lo, hi, 3, jobs=2)
+        assert got == scan(n, lo, hi, 3) == oracle(n, lo, hi, 3), (n, lo)
+        assert b in [x for x, _ in got]
+        assert divisor_runs == [n, n, n]  # once a chunk, once serially
+    assert pool_sizes == [2, 2, 2, 2]
+
+
+@pytest.mark.parametrize("min_digits", [3, 4, 5, 6, 7])
+def test_even_band_min_digits(min_digits, divisor_runs):
+    # 2**43 has 4 digits in bases 1218..20642 and 6 in 372..1217: min_digits
+    # on either side of each even count
+    n = 1 << 43
+    want = oracle(n, 300, 21000, min_digits)
+    assert scan(n, 300, 21000, min_digits) == want
+    assert bool([b for b, _ in want if b >= 1218]) == (min_digits <= 4)
+    assert divisor_runs == ([n] if min_digits <= 4 else [])
+
+
+@pytest.mark.parametrize("n", [55440, 65536, 99991 * 7, 2 * 3 * 5 * 7 * 11 * 13 * 17])
+@pytest.mark.parametrize("min_digits", [1, 2])
+def test_even_band_two_digit_band(n, min_digits, divisor_runs):
+    # windows past isqrt(n), into the 2-digit band and beyond n, where
+    # every base reads n as one digit
+    r = math.isqrt(n)
+    for lo, hi in ((2, min(n + 5, 60_000)), (r - 5, r + 3000), (n - 3000, n + 5)):
+        lo = max(lo, 2)
+        divisor_runs.clear()
+        assert scan(n, lo, hi, min_digits) == oracle(n, lo, hi, min_digits), (lo, hi)
+
+
+def test_even_band_cost_edge(divisor_runs):
+    # a band entered _divisors_cost(n) bases before its last base takes
+    # the divisor path, entered one base later it is scanned
+    for n in (
+        2**30 * 3**10,  # fully split, 341 divisors
+        3**9 * 1000003 * 1000033,  # a cofactor m > 1: rho's bound counts
+    ):
+        first, last = even_bands(n)[0]
+        cost = palindrome._divisors_cost(n)
+        assert 5000 < cost < last - first
+        for lo, taken in ((last - cost, True), (last - cost + 1, False)):
+            divisor_runs.clear()
+            assert scan(n, lo, last, 4) == oracle(n, lo, last, 4), (n, lo)
+            assert divisor_runs == ([n] if taken else []), (n, lo)
+
+
+def test_even_band_cost_model():
+    each = palindrome._DIV_EACH
+    # an n with millions of divisors takes its small even bands by scanning
+    n = 2**10 * 3**6 * 5**4 * 7**3 * 11**2 * 13**2
+    n *= 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47
+    assert palindrome._divisors_cost(n) == each * 11 * 7 * 5 * 4 * 3 * 3 * 2**9
+    # a cofactor m of 40 bits may hold 5 primes past 200 and costs rho's bound
+    m = 1000003 * 1000033
+    rho = palindrome._DIV_RUN_MIN + palindrome._DIV_RUN_ROOT * iroot(m, 4)
+    assert palindrome._divisors_cost(3**9 * m) == each * 10 * 2**5 + rho
+    assert palindrome._divisors_cost(1 << 200) == each * 201
+
+
+def test_even_band_block_min_edge(divisor_runs):
+    # the band of 3**24 = 282429536481 with 4 digits is 730..6561; a window
+    # whose band part from 1024 on is one base short of _divisors_cost(n)
+    # is scanned, even when it starts below 1024
+    n = 3**24
+    cost = palindrome._divisors_cost(n)
+    assert iroot(n, 4) < 1000 and iroot(n, 3) > _BLOCK_MIN + cost
+    for lo, hi, taken in (
+        (_BLOCK_MIN, _BLOCK_MIN + cost, True),
+        (_BLOCK_MIN - 1, _BLOCK_MIN + cost - 1, False),
+        (1000, _BLOCK_MIN + cost - 1, False),
+    ):
+        divisor_runs.clear()
+        assert scan(n, lo, hi, 4) == oracle(n, lo, hi, 4), (lo, hi)
+        assert divisor_runs == ([n] if taken else []), (lo, hi)
+
+
+def test_even_band_off_past_mr_limit(divisor_runs):
+    # 3000**9 + 1 = (1, 0, ..., 0, 1)_3000 has a composite cofactor past the
+    # Miller-Rabin bound once trial division is done: the even bands are
+    # scanned, divisors(n) is never called and nothing raises
+    n = 3000**9 + 1
+    m = _trial_divide(n)[1]
+    assert m >= _MR_LIMIT and m % (613 * 1129) == 0  # 13 * 613 * 1129 = b*b - b + 1
+    assert palindrome._divisors_cost(n) == math.inf
+    assert min_pal_base(n) == naive_min_pal_base(n)
+    for first, last in even_bands(n):
+        lo, hi = max(first - 5, 2), min(last + 5, first + 2000)
+        assert scan(n, lo, hi, 2) == oracle(n, lo, hi, 2), (lo, hi)
+    assert divisor_runs == []
