@@ -16,7 +16,7 @@ from palinradix.tables import TABLE_IDS, render, render_csv
 DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "tests" / "data"
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--format", choices=("text", "csv", "json"), default="text",
@@ -26,7 +26,7 @@ def main() -> int:
         "--no-check", action="store_true",
         help="skip the snapshot comparison, just print",
     )
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     failures = 0
     for table_id in TABLE_IDS:

@@ -13,7 +13,7 @@ import argparse
 import sys
 import time
 
-from palinradix.cli import _capped_jobs
+from palinradix.cli import _capped_jobs, _claim_violations
 from palinradix.palindrome import pow2_complete_scan
 
 
@@ -33,11 +33,7 @@ def main(argv: list[str] | None = None) -> int:
     for n in range(args.min_n, args.max_n + 1):
         start = time.perf_counter()
         report = pow2_complete_scan(n, jobs=jobs)
-        bad = [
-            rec.rep
-            for rec in report.records
-            if rec.binomial is None and rec.digit_count != 3
-        ]
+        bad = [rec.rep for rec in _claim_violations(report.records)]
         elapsed = time.perf_counter() - start
         scope = "complete" if report.exhaustive else "capped"
         status = "ok" if not bad else f"{len(bad)} violation(s)"

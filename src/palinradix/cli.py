@@ -16,7 +16,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import tables
 from .palindrome import (
@@ -123,6 +123,12 @@ def _capped_jobs(jobs: int) -> int:
     return min(jobs, os.cpu_count() or 1)
 
 
+def _claim_violations(records) -> list[PalindromeRecord]:
+    """The records against the claim that every palindromic representation
+    of 2**n is binomial or has three digits."""
+    return [rec for rec in records if rec.binomial is None and rec.digit_count != 3]
+
+
 def cmd_minbase(args: argparse.Namespace) -> int:
     if (args.n is None) == (args.pow2 is None):
         print("minbase: give exactly one of N or --pow2 n", file=sys.stderr)
@@ -155,21 +161,29 @@ def cmd_scan(args: argparse.Namespace) -> int:
     if args.max_base is not None and args.max_base > MAX_BASE:
         print(f"scan: --max-base exceeds {MAX_BASE}", file=sys.stderr)
         return 2
-    if args.max_base is None and args.min_base == 2:
+    hi = args.max_base
+    if hi is None:
+        hi = max(complete_scan_bound(n_exp), 2)
+    if args.min_base < 2 or hi < args.min_base:
+        print(f"scan: invalid base range [{args.min_base}, {hi}]", file=sys.stderr)
+        return 2
+    if args.max_base is None:
         report = pow2_complete_scan(n_exp, min_digits=args.min_digits, jobs=jobs)
+        if args.min_base > 2:  # every base from min_base on, 2-digit ones included
+            kept = tuple(rec for rec in report.records if rec.rep.base >= args.min_base)
+            report = replace(
+                report,
+                base_range=(args.min_base, hi),
+                records=kept,
+                min_base=kept[0].rep.base if kept else None,
+            )
     else:
-        hi = args.max_base if args.max_base is not None else complete_scan_bound(n_exp)
-        if args.min_base < 2 or hi < args.min_base:
-            print(f"scan: invalid base range [{args.min_base}, {hi}]", file=sys.stderr)
-            return 2
         report = enumerate_palindromes(
             1 << n_exp, args.min_base, hi, min_digits=args.min_digits, jobs=jobs
         )
 
     records = [OutputRecord.from_record(rec) for rec in report.records]
-    violations = [
-        rec for rec in report.records if rec.binomial is None and rec.digit_count != 3
-    ]
+    violations = _claim_violations(report.records)
 
     if args.format == "json":
         sys.stdout.write(_records_json(records))
@@ -284,8 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pow2", type=int, required=True, metavar="n")
     p.add_argument("--min-base", type=int, default=2)
     p.add_argument("--max-base", type=int, default=None,
-                   help="default: isqrt(2**n), with the 2-digit family "
-                   "appended analytically")
+                   help="default: isqrt(2**n), plus every larger base in which "
+                   "2**n is a 2-digit palindrome (c,c)_b, from the divisors "
+                   "of 2**n")
     p.add_argument("--min-digits", type=int, default=2)
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.add_argument("--jobs", type=int, default=1,

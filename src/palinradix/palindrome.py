@@ -1,21 +1,25 @@
 """Palindrome search: minimal base, bounded scans, and the closed-form
-families (3-digit, (1,c,1), and 2-digit) that cover bases beyond any scan.
+families (3-digit, (1,c,1), and 2-digit), kept as oracles for the scans.
 
-Base-range scans, and min_pal_base over the bases that give n four or more
-digits, walk the bases by digit count and leading digit and test most of
-them with one modulo each (see _palindromic_bases); in the 3-digit band a
-scan takes the long runs of one leading digit c from divisors(n - c)
-instead.  Where n has an even number of digits, a palindrome forces
-(b + 1) | n, so from base 1024 on such a band's candidates come from
-divisors(n) whenever that costs less than scanning it; for 2**n they are
-the bases 2**x - 1 alone.  min_pal_base tests the 3-digit bases one by
-one.  Base-range scans are embarrassingly parallel: a range is split into
-contiguous chunks, each chunk is scanned independently, and the chunk
-results are concatenated in order, so the merged report is identical for
-any job count.  The environment variable
+Base-range scans, min_pal_base over the bases that give n four or more
+digits or two, and the 2-digit part of pow2_complete_scan all run on one
+kernel, _palindromic_bases.  It walks the bases by digit count and leading
+digit and tests most of them with one modulo each; two divisor laws take
+whole runs and bands at once, through one step, whenever trial division
+shows that divisors() costs less than the scan.  In the 3-digit band a
+long run of one leading digit c takes its candidates from divisors(n - c).
+Where n has an even number of digits, a palindrome forces (b + 1) | n, so
+from base 1024 on such a band's candidates come from divisors(n); for
+2**n they are the bases 2**x - 1 alone, and in the 2-digit band, past
+isqrt(n), they are the (c,c)_b with c * (b + 1) = n.  min_pal_base tests
+the 3-digit bases one by one.  Base-range scans are embarrassingly
+parallel: a range is split into contiguous chunks, each chunk is scanned
+independently, and the chunk results are concatenated in order, so the
+merged report is identical for any job count.  The environment variable
 PALINRADIX_MAX_BASE, when set, caps the ranges of enumerate_palindromes
-and pow2_complete_scan; a capped scan is reported as non-exhaustive.
-min_pal_base and the closed-form families ignore it.
+and the scanned part of pow2_complete_scan; a capped scan is reported as
+non-exhaustive.  min_pal_base, the 2-digit part of pow2_complete_scan and
+the closed-form families ignore it.
 """
 
 from __future__ import annotations
@@ -43,8 +47,6 @@ class PalindromeRecord:
 
     n_value: int
     rep: Representation
-    digit_count: int
-    mersenne_exponent: int | None
     binomial: BinomialClassification | None
 
     def __post_init__(self) -> None:
@@ -52,26 +54,26 @@ class PalindromeRecord:
             raise ValueError(f"{self.rep} does not represent {self.n_value}")
         if not is_palindrome(self.rep):
             raise ValueError(f"{self.rep} is not palindromic")
-        if self.digit_count != len(self.rep.digits):
-            raise ValueError("digit_count mismatch")
-        b = self.rep.base
-        if self.mersenne_exponent is not None:
-            if b != (1 << self.mersenne_exponent) - 1:
-                raise ValueError(f"base {b} is not 2**{self.mersenne_exponent} - 1")
-        elif (b + 1) & b == 0:
-            raise ValueError(f"base {b} is 2**x - 1 but exponent not recorded")
-        if self.digit_count % 2 == 0 and self.n_value % (b + 1) != 0:
+        if self.digit_count % 2 == 0 and self.n_value % (self.rep.base + 1) != 0:
             raise AssertionError(
                 f"even-digit palindrome {self.rep} of {self.n_value} "
                 f"violates (b+1) | N"
             )
 
+    @property
+    def digit_count(self) -> int:
+        return len(self.rep.digits)
+
+    @property
+    def mersenne_exponent(self) -> int | None:
+        """x when the base is 2**x - 1, else None."""
+        b = self.rep.base
+        return (b + 1).bit_length() - 1 if (b + 1) & b == 0 else None
+
 
 def make_record(n: int, rep: Representation) -> PalindromeRecord:
     """Annotate a palindromic representation of n with structure flags."""
-    b = rep.base
-    x = (b + 1).bit_length() - 1 if (b + 1) & b == 0 else None
-    return PalindromeRecord(n, rep, len(rep.digits), x, classify_binomial(rep))
+    return PalindromeRecord(n, rep, classify_binomial(rep))
 
 
 @dataclass(frozen=True)
@@ -113,34 +115,28 @@ _RUN_MIN = 16
 # Long runs are filtered, and their hits yielded, this many bases at a time,
 # so a search that stops at its first hit tests at most this many past it.
 _SLICE = 1024
-# In the 3-digit band a long run b..end may take its candidates from
-# divisors(n - c) instead.  Costs count in bases of the modulo filter, 55-85
-# ns each on n of 16-60 bits and about 180 ns at 64 bits (CPython 3.11,
-# x86-64).  divisors() costs most where n - c is the product of two primes
-# near its square root, as Brent rho then takes about (n - c)**(1/4) steps:
-# over 1560 such inputs of 16-64 bits it cost at most
-# _DIV_RUN_MIN + 31.7 * (n - c)**(1/4) bases.  The fixed part, up to 4.8k
-# bases, rules below about 28 bits (complete scans of 2**n, n <= 35, whose
-# n - c factor cheaply, ran as fast without it); from 36 bits on the median
-# was 8 bases per (n - c)**(1/4).  A run takes the divisor path only when
-# end - b is at least _DIV_RUN_MIN + _DIV_RUN_ROOT * (n - c)**(1/4), so that
-# it costs no more than the modulo filter, and only while n - c is below
-# the Miller-Rabin bound, so that factorize can prove its factors prime.
+# Costs count in bases of the modulo filter, 55-85 ns each on n of 16-60
+# bits and about 180 ns at 64 bits (CPython 3.11, x86-64).  A run or band
+# takes its candidates from divisors() only when it is at least
+# _divisors_cost bases long, so that it costs no more than the scan.
+# divisors() builds and sorts its list in 0.3-1.1 us a divisor (n of 20-252
+# bits, up to 276k divisors): each divisor counts as _DIV_EACH bases.  A
+# cofactor m left by trial division costs most as the product of two primes
+# near its square root, as Brent rho then takes about m**(1/4) steps: over
+# 1560 such m of 16-64 bits it cost at most _DIV_RUN_MIN + 31.7 * m**(1/4)
+# bases, so a cofactor m > 1 counts _DIV_RUN_MIN + _DIV_RUN_ROOT * m**(1/4).
+# A 3-digit run also needs _DIV_RUN_MIN bases before its n - c is weighed,
+# so that the thousands of shorter runs of a complete scan do not each pay
+# about 12 us of trial division.
+_DIV_EACH = 16
 _DIV_RUN_MIN = 4096
 _DIV_RUN_ROOT = 32
 # From this base on, short runs are tested b/16 bases at a time by one list
 # comprehension; below it, one base at a time, which costs less per call on
-# the small n whose searches end there.
+# the small n whose searches end there.  Even-digit bands are taken from
+# divisors(n) only from here on: below it bands hold a few bases, which cost
+# less to scan than an integer root and a divisor filter.
 _BLOCK_MIN = 1024
-# Where n has an even number of digits, a palindrome forces (b + 1) | n, so
-# such a band's candidates are d - 1 for the divisors d of n.  A band is
-# taken that way only from _BLOCK_MIN on: below it bands hold a few bases,
-# which cost less to scan than an integer root and a divisor filter.  There
-# the rest b..end of a band is taken that way once divisors(n) is known, or
-# when end - b is at least _divisors_cost(n).  divisors() builds and sorts
-# its list in 0.3-1.1 us a divisor (n of 20-252 bits, up to 276k divisors),
-# so each divisor counts as _DIV_EACH bases of the modulo filter.
-_DIV_EACH = 16
 
 
 def _divisors_cost(n: int) -> float:
@@ -151,7 +147,7 @@ def _divisors_cost(n: int) -> float:
     cofactor m.  Each divisor costs _DIV_EACH bases; their count is the
     product of e + 1 over the split-off factors, times at most 2**k for m,
     whose k prime factors all exceed 2**7.  A cofactor m > 1 adds Brent
-    rho, bounded as for the 3-digit runs (_DIV_RUN_MIN, _DIV_RUN_ROOT).
+    rho's bound, _DIV_RUN_MIN + _DIV_RUN_ROOT * m**(1/4).
     """
     factors, m = _trial_divide(n)
     if m >= _MR_LIMIT:
@@ -161,6 +157,23 @@ def _divisors_cost(n: int) -> float:
     if m > 1:
         cost += _DIV_RUN_MIN + _DIV_RUN_ROOT * iroot(m, 4)
     return cost
+
+
+def _confirmed(n: int, bases) -> Iterator[tuple[int, list[int]]]:
+    """Each candidate base in which n is a palindrome, with its
+    least-significant-first digits: every filter's candidates end here."""
+    for b in bases:
+        digs = _palindromic_lsf(n, b)
+        if digs is not None:
+            yield b, digs
+
+
+def _divisor_bases(divs: list[int], lo: int, hi: int, shift: int) -> list[int]:
+    """d - shift for the d in the sorted divs with lo <= d - shift <= hi."""
+    return [
+        d - shift
+        for d in divs[bisect_left(divs, lo + shift) : bisect_right(divs, hi + shift)]
+    ]
 
 
 def _palindromic_bases(
@@ -174,19 +187,21 @@ def _palindromic_bases(
     its leading digit c = n // b**p, and c is constant over runs of
     consecutive bases: on a long run, whose last base is an exact integer
     root, a base is a candidate only if b divides n - c; elsewhere n % b is
-    compared with each base's leading digit.  Where n has 3 digits, a run
-    long enough to pay for factorizing n - c (_DIV_RUN_MIN, _DIV_RUN_ROOT)
-    takes its candidates from divisors(n - c) instead of testing each base.
-    Where n has an even number p + 1 of digits, a palindrome forces
-    (b + 1) | n: from _BLOCK_MIN on, the band b..end = iroot(n, p) takes
-    its candidates d - 1 from the divisors d of n in [b + 1, end + 1], and
-    the walk resumes one digit lower.  It does so once divisors(n) is
-    known, or when end - b is at least _divisors_cost(n): divisors(n) is
-    computed at most once a call, when a band first pays for it, and never
-    while trial division leaves a cofactor past the Miller-Rabin bound.
-    All these tests only filter: every candidate is confirmed by full
-    digit extraction.  Hits are yielded as they are found, in ascending
-    order, so a search may stop at its first one.
+    compared with each base's leading digit.  Two divisor laws take whole
+    runs and bands at once, through one step: where n has 3 digits, the
+    candidates of a run are the divisors of n - c in it; where n has an
+    even number p + 1 of digits, a palindrome forces (b + 1) | n, so from
+    _BLOCK_MIN on the band b..end = iroot(n, p) takes its candidates d - 1
+    from the divisors d of n in [b + 1, end + 1], and the walk resumes one
+    digit lower.  At p = 1 this is the 2-digit law (c,c)_b iff
+    c * (b + 1) = n.  A run or band takes that step when end - b is at
+    least _divisors_cost of the number to split (a run also needs
+    _DIV_RUN_MIN bases): never while trial division leaves a cofactor past
+    the Miller-Rabin bound.  divisors(n) is computed at most once a call,
+    when an even band first pays for it.  All these tests only filter:
+    every candidate is confirmed by full digit extraction (_confirmed).
+    Hits are yielded as they are found, in ascending order, so a search
+    may stop at its first one.
 
     >>> [b for b, _ in _palindromic_bases(2**12, 2, 64, 3)]
     [7, 15, 19, 31, 63]
@@ -213,11 +228,7 @@ def _palindromic_bases(
                 if end - b >= cost:
                     divs = divisors(n)
             if divs is not None:
-                lo_d, hi_d = bisect_left(divs, b + 1), bisect_right(divs, end + 1)
-                for d in divs[lo_d:hi_d]:
-                    digs = _palindromic_lsf(n, d - 1)
-                    if digs is not None:
-                        yield d - 1, digs
+                yield from _confirmed(n, _divisor_bases(divs, b, end, 1))
                 b = end + 1
                 continue
             scanned = p
@@ -225,37 +236,23 @@ def _palindromic_bases(
             # a block b..e is tested only where all of it gives n p + 1 digits
             if b < _BLOCK_MIN or (e := min(hi, b + (b >> 4))) ** p > n:
                 if n % b == c:
-                    digs = _palindromic_lsf(n, b)
-                    if digs is not None:
-                        yield b, digs
+                    yield from _confirmed(n, (b,))
                 b += 1
             else:
-                for x in [x for x in range(b, e + 1) if n % x == n // x**p]:
-                    digs = _palindromic_lsf(n, x)
-                    if digs is not None:
-                        yield x, digs
+                yield from _confirmed(
+                    n, [x for x in range(b, e + 1) if n % x == n // x**p]
+                )
                 b = e + 1
         elif c:  # a long run
             end = min(hi, iroot(n // c, p))  # the run's last base
             m = n - c
-            if (
-                p == 2
-                and end - b >= _DIV_RUN_MIN  # spares most runs the root
-                and m < _MR_LIMIT
-                and end - b >= _DIV_RUN_MIN + _DIV_RUN_ROOT * iroot(m, 4)
-            ):
-                # the run's candidates are the divisors of m in [b, end]
-                for x in [d for d in divisors(m) if b <= d <= end]:
-                    digs = _palindromic_lsf(n, x)
-                    if digs is not None:
-                        yield x, digs
+            if p == 2 and end - b >= _DIV_RUN_MIN and end - b >= _divisors_cost(m):
+                # n = (c, d, c)_x forces x | m
+                yield from _confirmed(n, _divisor_bases(divisors(m), b, end, 0))
                 b = end + 1
             while b <= end:
                 stop = min(end, b + _SLICE - 1)
-                for x in [x for x in range(b, stop + 1) if not m % x]:
-                    digs = _palindromic_lsf(n, x)
-                    if digs is not None:
-                        yield x, digs
+                yield from _confirmed(n, [x for x in range(b, stop + 1) if not m % x])
                 b = stop + 1
         else:  # b**p > n: from b on, n has one digit fewer
             p -= 1
@@ -330,9 +327,10 @@ def min_pal_base(n: int) -> tuple[int, Representation]:
     when trial division splits n cheaply enough (_divisors_cost), as it
     does 2**n, whose candidates there are the bases 2**x - 1.  The 3-digit
     bases after them are tested one by one.  Beyond isqrt(n) only 1- and
-    2-digit representations remain: the 2-digit palindromes are (c,c)_b
-    with n = c*(b+1), found through the divisors of n.  (1,1)_{n-1}
-    always qualifies for n >= 3, so the search terminates.
+    2-digit representations remain, and the kernel takes the 2-digit band
+    (isqrt(n), n - 1] as its even band at p = 1: (c,c)_b with
+    n = c*(b+1), from the divisors of n.  (1,1)_{n-1} always qualifies for
+    n >= 3, so the search terminates.
 
     >>> min_pal_base(13)
     (3, Representation(base=3, digits=(1, 1, 1)))
@@ -355,10 +353,8 @@ def min_pal_base(n: int) -> tuple[int, Representation]:
         digs = _palindromic_lsf(n, b)
         if digs is not None:
             return b, Representation(b, tuple(reversed(digs)))
-    for d in divisors(n):
-        c = n // d
-        if 1 <= c < d - 1:
-            return d - 1, Representation(d - 1, (c, c))
+    for b, digs in _palindromic_bases(n, math.isqrt(n) + 1, n - 1, 2):
+        return b, Representation(b, tuple(reversed(digs)))
     raise AssertionError(f"no palindromic base found for {n}")
 
 
@@ -366,8 +362,8 @@ def complete_scan_bound(n_exp: int) -> int:
     """Largest base allowing a >= 3-digit representation of 2**n_exp.
 
     A 3-digit representation needs b**2 + 1 <= N, so b <= isqrt(N); every
-    base above hosts at most 2 digits, and the 2-digit palindromes are
-    enumerated analytically by two_digit_reps.
+    base above hosts at most 2 digits, and the scan kernel takes those
+    bases' palindromes (c,c)_b from the divisors of N.
     """
     if n_exp < 1:
         raise ValueError(f"exponent must be >= 1, got {n_exp}")
@@ -428,7 +424,9 @@ def two_digit_reps(n: int) -> list[tuple[int, int]]:
     """All (b, c) with n = (c,c)_b, i.e. c*(b+1) = n and 1 <= c < b.
 
     For n = 2**m this forces b = 2**x - 1 and c = 2**(m-x).  Bases beyond
-    the 2**63 - 1 cap (possible only for n >= 2**64) are omitted.
+    the 2**63 - 1 cap (possible only for n >= 2**64) are omitted.  A closed
+    form, independent of the scan kernel, which finds the same palindromes
+    in its 2-digit band.
 
     >>> two_digit_reps(2023)
     [(118, 17), (288, 7), (2022, 1)]
@@ -447,10 +445,11 @@ def two_digit_reps(n: int) -> list[tuple[int, int]]:
 def pow2_complete_scan(n_exp: int, min_digits: int = 2, jobs: int = 1) -> ScanReport:
     """Every palindromic representation of 2**n_exp with >= min_digits digits.
 
-    Bases up to complete_scan_bound are scanned; the remaining bases can
-    host only 2-digit palindromes, which two_digit_reps supplies in closed
-    form (when min_digits <= 2).  The two parts never overlap: a 2-digit
-    palindrome needs c*(b+1) = N with c < b, hence b > isqrt(N).
+    Bases up to complete_scan_bound are scanned by enumerate_palindromes,
+    within the PALINRADIX_MAX_BASE cap; the remaining bases can host only
+    2-digit palindromes (when min_digits <= 2), which the kernel takes from
+    the divisors of N, whatever the cap, up to base N - 1 or the 2**63 - 1
+    cap on bases.  The parts follow each other in base order.
     """
     if n_exp < 1:
         raise ValueError(f"exponent must be >= 1, got {n_exp}")
@@ -464,13 +463,10 @@ def pow2_complete_scan(n_exp: int, min_digits: int = 2, jobs: int = 1) -> ScanRe
         records = []
         exhaustive = True
     if min_digits <= 2:
-        for b, c in two_digit_reps(n):
-            if b > bound:
-                records.append(make_record(n, Representation(b, (c, c))))
+        records += _scan_chunk((n, bound + 1, min(n - 1, MAX_BASE), min_digits))
         # the c = 1 row (1,1)_{2**n - 1} exceeds the base cap from n >= 64 on
         if n - 1 > MAX_BASE:
             exhaustive = False
-    records.sort(key=lambda r: (r.rep.base, r.digit_count))
     return ScanReport(
         target=n,
         base_range=(2, max(bound, 2)),

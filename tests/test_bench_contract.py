@@ -1,0 +1,52 @@
+"""The names the traced benchmark under perfbench/ relies on.
+
+perfbench/spans.py wraps palinradix names by module and attribute, and
+perfbench/selftest.py rebuilds a ScanReport from five positional fields.
+A rename here would leave tier-1 green while the traced benchmark breaks,
+so these tests read spans.py (without changing it) and check each name.
+"""
+
+import dataclasses
+import importlib
+import importlib.util
+import pathlib
+
+import pytest
+
+SPANS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_names_exist(spans):
+    assert spans.TRACED
+    for mod_name, attr in spans.TRACED:
+        module = importlib.import_module(f"palinradix.{mod_name}")
+        assert callable(getattr(module, attr, None)), (mod_name, attr)
+
+
+def test_pool_modules_have_pool(spans):
+    assert spans.POOL_MODULES
+    for mod_name in spans.POOL_MODULES:
+        module = importlib.import_module(f"palinradix.{mod_name}")
+        assert callable(getattr(module, "Pool", None)), mod_name
+
+
+def test_scan_report_positional_fields():
+    # selftest.py: type(r)(r.target, r.base_range, r.records, r.min_base, r.exhaustive)
+    from palinradix.cli import pow2_complete_scan
+
+    report = pow2_complete_scan(12)
+    names = [f.name for f in dataclasses.fields(report)]
+    assert names == ["target", "base_range", "records", "min_base", "exhaustive"]
+    rebuilt = type(report)(
+        report.target, report.base_range, report.records[:-1], report.min_base,
+        report.exhaustive,
+    )
+    assert rebuilt.records == report.records[:-1]

@@ -107,6 +107,31 @@ class TestScan:
         assert "2^3 = 2*(1,1)_3" in out
         assert "1 palindromic representation(s)" in out
 
+    def test_min_base_keeps_two_digit_family(self, capsys):
+        # without --max-base, every representation from --min-base on is
+        # listed, the 2-digit (c,c)_b past isqrt(2**n) included
+        code, out, _ = run(capsys, "scan", "--pow2", "12", "--min-base", "3")
+        assert code == 0
+        _, full, _ = run(capsys, "scan", "--pow2", "12")
+        assert out.splitlines()[:-2] == full.splitlines()[:-2]
+        assert "2^12 = 32*(1,1)_127  [digits=2" in out
+        assert "2^12 = (1,1)_4095  [digits=2" in out
+        assert "# scanned bases 3..64 (complete), 11 palindromic" in out
+        code, out, _ = run(
+            capsys, "scan", "--pow2", "12", "--min-base", "20", "--format", "csv"
+        )
+        bases = [row[1] for row in list(csv.reader(io.StringIO(out)))[1:]]
+        assert code == 0
+        assert bases == ["31", "63", "127", "255", "511", "1023", "2047", "4095"]
+
+    def test_min_base_past_bound(self, capsys):
+        code, _, err = run(capsys, "scan", "--pow2", "12", "--min-base", "65")
+        assert code == 2
+        assert "invalid base range [65, 64]" in err
+        code, out, _ = run(capsys, "scan", "--pow2", "12", "--min-base", "64")
+        assert code == 0
+        assert "# scanned bases 64..64 (complete), 6 palindromic" in out
+
     def test_min_digits(self, capsys):
         code, out, _ = run(
             capsys, "scan", "--pow2", "12", "--format", "csv", "--min-digits", "3"

@@ -143,16 +143,10 @@ class TestRecordInvariants:
     def test_validation(self):
         good = Representation(7, (1, 3, 3, 1))
         with pytest.raises(ValueError):
-            PalindromeRecord(511, good, 4, 3, None)  # wrong value
-        with pytest.raises(ValueError):
-            PalindromeRecord(512, good, 5, 3, None)  # wrong count
-        with pytest.raises(ValueError):
-            PalindromeRecord(512, good, 4, 4, None)  # 7 != 2**4 - 1
-        with pytest.raises(ValueError):
-            PalindromeRecord(512, good, 4, None, None)  # exponent dropped
+            PalindromeRecord(511, good, None)  # wrong value
         crooked = Representation(7, (1, 3, 2))
         with pytest.raises(ValueError):
-            PalindromeRecord(from_digits(crooked), crooked, 3, 3, None)
+            PalindromeRecord(from_digits(crooked), crooked, None)
 
     def test_even_digit_law_on_scan(self):
         # every even-length record any scan produces obeys (b+1) | N

@@ -13,7 +13,7 @@ import pathlib
 import pytest
 
 from palinradix import palindrome
-from palinradix.numtheory import _MR_LIMIT, _trial_divide, divisors, iroot
+from palinradix.numtheory import _MR_LIMIT, _trial_divide, divisors, iroot, is_prime
 from palinradix.palindrome import (
     _BLOCK_MIN,
     _RUN_MIN,
@@ -21,6 +21,7 @@ from palinradix.palindrome import (
     enumerate_palindromes,
     min_pal_base,
     pow2_complete_scan,
+    two_digit_reps,
 )
 
 from oracles import (
@@ -241,10 +242,12 @@ def divisor_runs(monkeypatch):
 
 @pytest.fixture
 def short_div_runs(monkeypatch):
-    """Drop the cost bound's root term, so that every 3-digit run of
-    _DIV_RUN_MIN bases or more takes the divisor path: the windows below
-    then reach it on n small enough for the oracle."""
+    """Drop the cost model's root term and per-divisor weight, so that
+    _divisors_cost is at most _DIV_RUN_MIN below the Miller-Rabin bound and
+    every 3-digit run of _DIV_RUN_MIN bases or more takes the divisor path:
+    the windows below then reach it on n small enough for the oracle."""
     monkeypatch.setattr("palinradix.palindrome._DIV_RUN_ROOT", 0)
+    monkeypatch.setattr("palinradix.palindrome._DIV_EACH", 0)
 
 
 def run_bounds(n, c):
@@ -253,11 +256,16 @@ def run_bounds(n, c):
     return math.isqrt(n // (c + 1)) + 1, math.isqrt(n // c)
 
 
+def run_gate(m):
+    """The fewest bases past the first, end - b, that a 3-digit run whose
+    n - c is m needs to take the divisor path."""
+    return max(palindrome._DIV_RUN_MIN, palindrome._divisors_cost(m))
+
+
 def takes_divisor_path(n, c, lo, hi):
     """Whether the kernel, entering the run of c at lo, takes bases lo..hi
     of it from divisors(n - c)."""
-    bound = palindrome._DIV_RUN_MIN + palindrome._DIV_RUN_ROOT * iroot(n - c, 4)
-    return hi - lo >= bound
+    return hi - lo >= run_gate(n - c)
 
 
 @pytest.mark.parametrize("n", [1 << 36, 3**23, 10**11 + 3])
@@ -336,15 +344,24 @@ def test_divisor_path_jobs_two_splits_a_run(
     assert pool_sizes == [2, 2, 2, 2]
 
 
-@pytest.mark.parametrize("n", [1 << 36, 10**11 + 3])
+# n, and the gate of its run of leading digit 1 with the real constants
+RUN_GATES = {
+    1 << 36: 16 * 512,  # n - 1 = 3**3 * 5 * 7 * 13 * 19 * 37 * 73 * 109
+    # n - 1 = 2 * 3 * 7 * (1543 * 1543067): the cofactor adds rho's bound
+    10**11 + 3: 16 * 8 * 2**4 + 4096 + 32 * 220,
+    3 * 2**36 + 1: 4096,  # 74 divisors: _DIV_RUN_MIN rules
+}
+
+
+@pytest.mark.parametrize("n", list(RUN_GATES))
 def test_divisor_path_cost_bound(n, divisor_runs):
     # with the real constants, the run of leading digit 1 entered
-    # _DIV_RUN_MIN + _DIV_RUN_ROOT * iroot(n - 1, 4) bases before its last
-    # base takes the divisor path, and entered one base later does not
+    # max(_DIV_RUN_MIN, _divisors_cost(n - 1)) bases before its last base
+    # takes the divisor path, and entered one base later does not
     _, last = run_bounds(n, 1)
-    lo = last - palindrome._DIV_RUN_MIN - palindrome._DIV_RUN_ROOT * iroot(n - 1, 4)
-    assert takes_divisor_path(n, 1, lo, last)
-    assert not takes_divisor_path(n, 1, lo + 1, last)
+    gate = RUN_GATES[n]
+    assert run_gate(n - 1) == gate
+    lo = last - gate
     assert scan(n, lo, last, 3) == oracle(n, lo, last, 3)
     assert divisor_runs == [n - 1]
     divisor_runs.clear()
@@ -352,23 +369,37 @@ def test_divisor_path_cost_bound(n, divisor_runs):
     assert divisor_runs == []
 
 
+# primes p, q past 2**40, so that p * q passes the Miller-Rabin bound and
+# factorize, whose wheel stops at 10**6, could not split it
+PAST_MR_SEMIPRIMES = {
+    1: (1_649_267_441_959, 2_199_023_255_579),
+    2: (1_924_145_348_627, 2_199_023_255_579),
+    5: (1_739_461_287_703, 2_199_023_255_579),
+}
+
+
 def test_divisor_path_off_past_mr_limit(monkeypatch, divisor_runs):
-    # with the cost bound out of the way every long 3-digit run would take
-    # the divisor path; from 2**82 on n - c passes the Miller-Rabin bound,
-    # so the modulo filter must keep the runs
-    monkeypatch.setattr("palinradix.palindrome._DIV_RUN_MIN", 0)
-    monkeypatch.setattr("palinradix.palindrome._DIV_RUN_ROOT", 0)
-    for n in (1 << 82, (1 << 82) + 12345, 3**55):
-        assert n - math.isqrt(n) > _MR_LIMIT
-        for c in (1, 2, 5):
-            _, last = run_bounds(n, c)
-            assert scan(n, last - 1500, last, 3) == oracle(n, last - 1500, last, 3)
-        assert divisor_runs == []
-    # below the bound the same windows do take it
-    n = 1 << 60
+    # with the cost model out of the way every long 3-digit run below the
+    # Miller-Rabin bound takes the divisor path.  Past it, a run takes it
+    # only when trial division to 200 leaves a cofactor below the bound:
+    # not on n - c = p * q with p, q > 200, where divisors() would raise
+    for name in ("_DIV_RUN_MIN", "_DIV_RUN_ROOT", "_DIV_EACH"):
+        monkeypatch.setattr(f"palinradix.palindrome.{name}", 0)
+    for c, (p, q) in PAST_MR_SEMIPRIMES.items():
+        assert is_prime(p) and is_prime(q)
+        n = p * q + c
+        assert n - c >= _MR_LIMIT and _trial_divide(n - c) == ({}, n - c)
+        first, last = run_bounds(n, c)
+        assert first < last - 1500
+        assert scan(n, last - 1500, last, 3) == oracle(n, last - 1500, last, 3), c
+    assert divisor_runs == []
+    # 2**82 - c for c = 1, 2, 5 leaves a cofactor of 75, 73 and 77 bits
+    # below the bound (2**82 - 1 = 3 * 83 * 13367 * 164511353 * 8831418697)
+    n = 1 << 82
     for c in (1, 2, 5):
+        assert n - c >= _MR_LIMIT > _trial_divide(n - c)[1]
         _, last = run_bounds(n, c)
-        assert scan(n, last - 1500, last, 3) == oracle(n, last - 1500, last, 3)
+        assert scan(n, last - 1500, last, 3) == oracle(n, last - 1500, last, 3), c
     assert divisor_runs == [n - 1, n - 2, n - 5]
 
 
@@ -393,8 +424,7 @@ def test_divisor_path_off_in_four_digit_band(divisor_runs, short_div_runs):
     b = 1 << 22
     n = b**3 + 1  # (1, 0, 0, 1)_b, on the run's last base
     lo = iroot(n // 2, 3) + 1
-    bound = palindrome._DIV_RUN_MIN + palindrome._DIV_RUN_ROOT * iroot(n - 1, 4)
-    assert b - lo >= bound
+    assert b - lo >= run_gate(n - 1)
     hits = list(_palindromic_bases(n, lo, b, 4))
     assert hits[-1] == (b, [1, 0, 0, 1])
     assert divisor_runs == [n]
@@ -670,3 +700,113 @@ def test_even_band_off_past_mr_limit(divisor_runs):
         lo, hi = max(first - 5, 2), min(last + 5, first + 2000)
         assert scan(n, lo, hi, 2) == oracle(n, lo, hi, 2), (lo, hi)
     assert divisor_runs == []
+
+
+# -- the 2-digit band: the even-band step at p = 1 ------------------------------
+
+
+def two_digit_hits(n, lo):
+    """The closed form's (b, (c, c)) with b >= lo."""
+    return [(b, (c, c)) for b, c in two_digit_reps(n) if b >= lo]
+
+
+@pytest.mark.parametrize("n", [55440, 65536, 99991 * 3, 2 * 3 * 5 * 7 * 11 * 13, 3**10])
+def test_two_digit_band_against_closed_form(n, divisor_runs):
+    # (isqrt(n), n - 1] from lo below, at and past 1024: the bases from 1024
+    # on come from divisors(n), those below it from the scan
+    root = math.isqrt(n)
+    full = oracle(n, root + 1, n - 1, 2)
+    assert full == two_digit_hits(n, root + 1)
+    hit_bases = [b for b, _ in full]
+    los = {root + 1, _BLOCK_MIN - 1, _BLOCK_MIN, _BLOCK_MIN + 1, 5000}
+    los |= {b + d for b in hit_bases[:8] + hit_bases[-3:] for d in (0, 1)}
+    for lo in sorted(los):
+        divisor_runs.clear()
+        got = [(b, tuple(reversed(d))) for b, d in _palindromic_bases(n, lo, n - 1, 2)]
+        assert got == [h for h in full if h[0] >= lo], lo
+        if lo <= 5000:  # the rest of the band pays for divisors(n)
+            assert divisor_runs == [n], lo
+    # windows that end on a hit or just before it
+    for b in hit_bases[:8] + hit_bases[-3:]:
+        for hi in (b - 1, b):
+            want = [h for h in full if h[0] <= hi]
+            assert scan(n, root + 1, hi, 2) == want, hi
+            assert scan(n, max(root + 1, hi - 3000), hi, 2) == [
+                h for h in want if h[0] >= hi - 3000
+            ], hi
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        1 << 40,
+        (1 << 61) - 1,  # a prime: only (1, 1)_{n-1}
+        2 * 1_000_000_007,
+        1_000_003 * 1_000_033,
+        10**12,
+        963761198400,  # 6720 divisors
+    ],
+)
+def test_two_digit_band_large_n(n, divisor_runs):
+    # the whole band (isqrt(n), n - 1] against the closed form alone
+    lo = math.isqrt(n) + 1
+    want = two_digit_hits(n, lo)
+    divisor_runs.clear()
+    got = [(b, tuple(reversed(d))) for b, d in _palindromic_bases(n, lo, n - 1, 2)]
+    assert got == want
+    assert divisor_runs == [n]
+
+
+def test_pow2_complete_scan_two_digit_part(monkeypatch):
+    # the records past isqrt(2**n) are the closed form's, in base order
+    for n_exp in (1, 2, 3, 12, 19, 20, 21, 36):
+        n = 1 << n_exp
+        report = pow2_complete_scan(n_exp)
+        bound = math.isqrt(n)
+        got = [(r.rep.base, r.rep.digits) for r in report.records if r.rep.base > bound]
+        assert got == two_digit_hits(n, bound + 1), n_exp
+        bases = [r.rep.base for r in report.records]
+        assert bases == sorted(set(bases)) and report.exhaustive, n_exp
+        assert pow2_complete_scan(n_exp, min_digits=3).records == tuple(
+            r for r in report.records if r.digit_count >= 3
+        )
+    # the base cap PALINRADIX_MAX_BASE cuts the scan, not the 2-digit part,
+    # which stops at the 2**63 - 1 cap on bases from 2**64 on
+    monkeypatch.setenv("PALINRADIX_MAX_BASE", "1000")
+    for n_exp in (40, 63, 64, 65, 90):
+        n = 1 << n_exp
+        report = pow2_complete_scan(n_exp)
+        assert not report.exhaustive
+        bound = math.isqrt(n)
+        assert max(r.rep.base for r in report.records if r.rep.base <= bound) <= 1000
+        got = [(r.rep.base, r.rep.digits) for r in report.records if r.rep.base > bound]
+        assert got == two_digit_hits(n, bound + 1), n_exp
+        assert got[-1][0] == min(n - 1, palindrome.MAX_BASE)
+
+
+def hard_n(rng, root_lo, root_hi, count):
+    """count n = a * b with a <= b < 2a whose isqrt lies in [root_lo,
+    root_hi] and which no base up to isqrt(n) reads palindromically: b(n)
+    lies in the 2-digit band, at most b - 1 < 2a, so the oracle stays cheap."""
+    out = []
+    for _ in range(20_000):
+        a = rng.randint(root_lo, root_hi)
+        n = a * rng.randint(a, 2 * a - 1)
+        if root_lo <= math.isqrt(n) <= root_hi and not oracle(n, 2, math.isqrt(n), 3):
+            out.append(n)
+            if len(out) == count:
+                return out
+    raise AssertionError("too few n without a palindrome below isqrt(n)")
+
+
+@pytest.mark.parametrize("root_lo, root_hi", [(700, _BLOCK_MIN - 1), (_BLOCK_MIN, 1500)])
+def test_min_pal_base_two_digit_hits(root_lo, root_hi, rng, divisor_runs):
+    # b(n) > isqrt(n), with isqrt(n) on either side of 1024
+    for n in hard_n(rng, root_lo, root_hi, 12):
+        divisor_runs.clear()
+        got = min_pal_base(n)
+        assert got == naive_min_pal_base(n), n
+        if math.isqrt(n) >= _BLOCK_MIN:
+            assert divisor_runs == [n], n
+        assert got[0] > math.isqrt(n) and len(got[1].digits) == 2
+        assert got[0] == two_digit_hits(n, math.isqrt(n) + 1)[0][0]

@@ -41,6 +41,14 @@ class TestScanClaimJobs:
         assert capped.split("[")[0] == serial.split("[")[0]
 
 
+def test_reproduce_tables_match(capsys):
+    # all five tables render and match their frozen snapshots
+    assert load("reproduce_tables").main(["--format", "csv"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.count("=== table") == 5
+    assert captured.err.count("matches frozen snapshot") == 5
+
+
 def test_freeze_goldens_tables_match(tmp_path):
     # the five table writers, run without the oracle parts, reproduce the
     # committed goldens byte for byte
