@@ -16,7 +16,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from . import tables
 from .palindrome import (
@@ -32,56 +32,6 @@ from .theorems import ConjectureVerdict, check_conjectures
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class OutputRecord:
-    """Serialization form of one palindromic representation.
-
-    All numeric values that can exceed 2**53 travel as decimal strings so
-    JSON consumers never lose precision.  The binomial fields are present
-    together or absent together.
-    """
-
-    schema_version: int
-    target: str
-    base: str
-    digits: list[str]
-    palindromic: bool
-    digit_count: int
-    binomial_alpha: str | None
-    binomial_k: int | None
-    mersenne_x: int | None
-
-    @classmethod
-    def from_record(cls, rec: PalindromeRecord) -> "OutputRecord":
-        return cls(
-            schema_version=SCHEMA_VERSION,
-            target=str(rec.n_value),
-            base=str(rec.rep.base),
-            digits=[str(d) for d in rec.rep.digits],
-            palindromic=True,
-            digit_count=rec.digit_count,
-            binomial_alpha=str(rec.binomial.alpha) if rec.binomial else None,
-            binomial_k=rec.binomial.degree if rec.binomial else None,
-            mersenne_x=rec.mersenne_exponent,
-        )
-
-    def to_json_obj(self) -> dict:
-        obj = {
-            "schema_version": self.schema_version,
-            "target": self.target,
-            "base": self.base,
-            "digits": self.digits,
-            "palindromic": self.palindromic,
-            "digit_count": self.digit_count,
-        }
-        if self.binomial_alpha is not None:
-            obj["binomial_alpha"] = self.binomial_alpha
-            obj["binomial_k"] = self.binomial_k
-        if self.mersenne_x is not None:
-            obj["mersenne_x"] = self.mersenne_x
-        return obj
-
-
 _SCAN_CSV_HEADER = (
     "target",
     "base",
@@ -94,28 +44,47 @@ _SCAN_CSV_HEADER = (
 )
 
 
-def _records_csv(records: list[OutputRecord]) -> str:
+def _record_fields(rec: PalindromeRecord) -> dict:
+    """The output fields of one record, keyed by _SCAN_CSV_HEADER in its
+    order; None for an absent field.
+
+    Values that can exceed 2**53 are decimal strings, so JSON consumers
+    never lose precision.  The binomial fields are present together or
+    absent together.
+    """
+    binom = rec.binomial
+    values = (
+        str(rec.n_value),
+        str(rec.rep.base),
+        [str(d) for d in rec.rep.digits],
+        True,
+        rec.digit_count,
+        str(binom.alpha) if binom else None,
+        binom.degree if binom else None,
+        rec.mersenne_exponent,
+    )
+    return dict(zip(_SCAN_CSV_HEADER, values))
+
+
+def _records_csv(records: tuple[PalindromeRecord, ...]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_SCAN_CSV_HEADER)
     for rec in records:
-        writer.writerow(
-            (
-                rec.target,
-                rec.base,
-                " ".join(rec.digits),
-                "true" if rec.palindromic else "false",
-                rec.digit_count,
-                rec.binomial_alpha or "",
-                "" if rec.binomial_k is None else rec.binomial_k,
-                "" if rec.mersenne_x is None else rec.mersenne_x,
-            )
-        )
+        fields = _record_fields(rec)
+        fields["digits"] = " ".join(fields["digits"])
+        fields["palindromic"] = "true"
+        writer.writerow("" if v is None else v for v in fields.values())
     return buf.getvalue()
 
 
-def _records_json(records: list[OutputRecord]) -> str:
-    return json.dumps([r.to_json_obj() for r in records], indent=2) + "\n"
+def _records_json(records: tuple[PalindromeRecord, ...]) -> str:
+    objs = [
+        {"schema_version": SCHEMA_VERSION}
+        | {k: v for k, v in _record_fields(rec).items() if v is not None}
+        for rec in records
+    ]
+    return json.dumps(objs, indent=2) + "\n"
 
 
 def _capped_jobs(jobs: int) -> int:
@@ -182,13 +151,12 @@ def cmd_scan(args: argparse.Namespace) -> int:
             1 << n_exp, args.min_base, hi, min_digits=args.min_digits, jobs=jobs
         )
 
-    records = [OutputRecord.from_record(rec) for rec in report.records]
     violations = _claim_violations(report.records)
 
     if args.format == "json":
-        sys.stdout.write(_records_json(records))
+        sys.stdout.write(_records_json(report.records))
     elif args.format == "csv":
-        sys.stdout.write(_records_csv(records))
+        sys.stdout.write(_records_csv(report.records))
     else:
         for rec in report.records:
             flags = [f"digits={rec.digit_count}"]

@@ -1,25 +1,27 @@
 """Palindrome search: minimal base, bounded scans, and the closed-form
 families (3-digit, (1,c,1), and 2-digit), kept as oracles for the scans.
 
-Base-range scans, min_pal_base over the bases that give n four or more
-digits or two, and the 2-digit part of pow2_complete_scan all run on one
-kernel, _palindromic_bases.  It walks the bases by digit count and leading
-digit and tests most of them with one modulo each; two divisor laws take
-whole runs and bands at once, through one step, whenever trial division
-shows that divisors() costs less than the scan.  In the 3-digit band a
-long run of one leading digit c takes its candidates from divisors(n - c).
-Where n has an even number of digits, a palindrome forces (b + 1) | n, so
-from base 1024 on such a band's candidates come from divisors(n); for
+Base-range scans, min_pal_base outside its 3-digit bases, and the
+2-digit part of pow2_complete_scan all run on one kernel,
+_palindromic_bases.  It walks the bases by digit count and leading digit
+and tests most of them with one modulo each; two divisor laws take whole
+runs and bands at once, through one step, whenever trial division shows
+that divisors() costs less than the scan.  In the 3-digit band a long
+run of one leading digit c takes its candidates from divisors(n - c).
+Where n has an even number of digits, a palindrome forces (b + 1) | n,
+so from base 1024 on such a band's candidates come from divisors(n); for
 2**n they are the bases 2**x - 1 alone, and in the 2-digit band, past
-isqrt(n), they are the (c,c)_b with c * (b + 1) = n.  min_pal_base tests
-the 3-digit bases one by one.  Base-range scans are embarrassingly
-parallel: a range is split into contiguous chunks, each chunk is scanned
-independently, and the chunk results are concatenated in order, so the
-merged report is identical for any job count.  The environment variable
+isqrt(n), they are the (c,c)_b with c * (b + 1) = n.  Every candidate
+ends in one confirm step, _confirmed, which extracts its digits once and
+builds the hit's Representation; min_pal_base passes the 3-digit bases
+to it one by one.  Base-range scans are embarrassingly parallel: a range
+is split into contiguous chunks, each chunk is scanned independently,
+and the chunk results are concatenated in order, so the merged report is
+identical for any job count.  The environment variable
 PALINRADIX_MAX_BASE, when set, caps the ranges of enumerate_palindromes
 and the scanned part of pow2_complete_scan; a capped scan is reported as
-non-exhaustive.  min_pal_base, the 2-digit part of pow2_complete_scan and
-the closed-form families ignore it.
+non-exhaustive.  min_pal_base, the 2-digit part of pow2_complete_scan
+and the closed-form families ignore it.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Iterator, NamedTuple
 
 from .binomial import BinomialClassification, classify_binomial
 from .numtheory import _MR_LIMIT, _trial_divide, divisors, iroot
-from .radix import MAX_BASE, Representation, from_digits, is_palindrome
+from .radix import MAX_BASE, Representation, _digits_lsf, from_digits, is_palindrome
 
 
 @dataclass(frozen=True)
@@ -98,15 +100,6 @@ def _scan_cap() -> int | None:
     return cap
 
 
-def _palindromic_lsf(n: int, base: int) -> list[int] | None:
-    """Least-significant-first digits of n if palindromic in base, else None."""
-    digs = []
-    while n:
-        n, r = divmod(n, base)
-        digs.append(r)
-    return digs if digs == digs[::-1] else None
-
-
 # A run of bases sharing the leading digit c is about b / (p*c) bases long
 # where n has p + 1 digits.  Runs at least this long are filtered by one
 # modulo per base, b | (n - c), after an integer root finds where the run
@@ -159,13 +152,18 @@ def _divisors_cost(n: int) -> float:
     return cost
 
 
-def _confirmed(n: int, bases) -> Iterator[tuple[int, list[int]]]:
-    """Each candidate base in which n is a palindrome, with its
-    least-significant-first digits: every filter's candidates end here."""
+def _confirmed(n: int, bases) -> Iterator[Representation]:
+    """The representation of n >= 1 in each candidate base where it is a
+    palindrome, in the order of bases: every filter's candidates end here.
+
+    Each base costs one digit extraction (radix._digits_lsf).  Digits that
+    read the same both ways need no reversal, so the least-significant-first
+    list is the most-significant-first tuple.
+    """
     for b in bases:
-        digs = _palindromic_lsf(n, b)
-        if digs is not None:
-            yield b, digs
+        digs = _digits_lsf(n, b)
+        if digs == digs[::-1]:
+            yield Representation(b, tuple(digs))
 
 
 def _divisor_bases(divs: list[int], lo: int, hi: int, shift: int) -> list[int]:
@@ -178,9 +176,9 @@ def _divisor_bases(divs: list[int], lo: int, hi: int, shift: int) -> list[int]:
 
 def _palindromic_bases(
     n: int, lo: int, hi: int, min_digits: int
-) -> Iterator[tuple[int, list[int]]]:
-    """Each base b in [lo, hi] in which n >= 1 is a palindrome of at least
-    min_digits digits, ascending, with its least-significant-first digits.
+) -> Iterator[Representation]:
+    """The representation of n >= 1 in each base b in [lo, hi] where it is a
+    palindrome of at least min_digits digits, in ascending base order.
 
     Bases are walked upward while tracking the digit count p + 1 of n in
     base b (b**p <= n < b**(p+1)).  A palindrome's last digit n % b equals
@@ -199,12 +197,13 @@ def _palindromic_bases(
     _DIV_RUN_MIN bases): never while trial division leaves a cofactor past
     the Miller-Rabin bound.  divisors(n) is computed at most once a call,
     when an even band first pays for it.  All these tests only filter:
-    every candidate is confirmed by full digit extraction (_confirmed).
-    Hits are yielded as they are found, in ascending order, so a search
-    may stop at its first one.
+    every candidate is confirmed by full digit extraction (_confirmed),
+    which builds its Representation.  Past n every base reads n as the one
+    digit (n), yielded without a test.  Hits are yielded as they are
+    found, in ascending order, so a search may stop at its first one.
 
-    >>> [b for b, _ in _palindromic_bases(2**12, 2, 64, 3)]
-    [7, 15, 19, 31, 63]
+    >>> [str(r) for r in _palindromic_bases(2**12, 2, 64, 3)]
+    ['(1,4,6,4,1)_7', '(1,3,3,1)_15', '(11,6,11)_19', '(4,8,4)_31', '(1,2,1)_63']
     """
     # n has p + 1 digits in base lo; a float estimate, made exact below
     p = n.bit_length() - 1 if lo == 2 else int(math.log(n, lo))
@@ -260,15 +259,12 @@ def _palindromic_bases(
                 return
             run_min = _RUN_MIN * p
     for x in range(b, hi + 1):  # b > n: every base reads n as one digit
-        yield x, [n]
+        yield Representation(x, (n,))
 
 
 def _scan_chunk(args: tuple[int, int, int, int]) -> list[PalindromeRecord]:
     n, lo, hi, min_digits = args
-    return [
-        make_record(n, Representation(b, tuple(reversed(digs))))
-        for b, digs in _palindromic_bases(n, lo, hi, min_digits)
-    ]
+    return [make_record(n, rep) for rep in _palindromic_bases(n, lo, hi, min_digits)]
 
 
 def enumerate_palindromes(
@@ -320,42 +316,38 @@ def enumerate_palindromes(
 def min_pal_base(n: int) -> tuple[int, Representation]:
     """The least base b > 1 in which n reads palindromically, with the digits.
 
+    Three searches in ascending base order, each stopping at its first hit.
     Any representation with three or more digits needs b <= isqrt(n).  The
     bases up to iroot(n, 3), which give n four or more digits, are searched
     by the band kernel _palindromic_bases: from base 1024 on, a band where
     n has an even number of digits takes its candidates from divisors(n)
     when trial division splits n cheaply enough (_divisors_cost), as it
     does 2**n, whose candidates there are the bases 2**x - 1.  The 3-digit
-    bases after them are tested one by one.  Beyond isqrt(n) only 1- and
+    bases after them are confirmed one by one.  Beyond isqrt(n) only 1- and
     2-digit representations remain, and the kernel takes the 2-digit band
-    (isqrt(n), n - 1] as its even band at p = 1: (c,c)_b with
-    n = c*(b+1), from the divisors of n.  (1,1)_{n-1} always qualifies for
-    n >= 3, so the search terminates.
+    (isqrt(n), n] as its even band at p = 1: (c,c)_b with n = c*(b+1),
+    from the divisors of n.  (1,1)_{n-1} qualifies for every n >= 3; the
+    last search runs to base n + 1, where every n reads as the single digit
+    (n), so it also finds b(1) = 2 as (1)_2 and b(2) = 3 as (2)_3, and it
+    always ends on a hit.
 
     >>> min_pal_base(13)
     (3, Representation(base=3, digits=(1, 1, 1)))
     """
     if n < 1:
         raise ValueError(f"undefined for n = {n}; need n >= 1")
-    if n == 1:
-        return 2, Representation(2, (1,))
-    if n == 2:
-        return 3, Representation(3, (2,))
-    cube = iroot(n, 3)
-    for b, digs in _palindromic_bases(n, 2, cube, 4):
-        return b, Representation(b, tuple(reversed(digs)))
+    cube, root = iroot(n, 3), math.isqrt(n)
+    for rep in _palindromic_bases(n, 2, cube, 4):
+        return rep.base, rep
     # The 3-digit bases stay on the per-base loop for now (ROADMAP item 6):
     # the minbase-random benchmark computes its references untimed, so a
     # faster search there runs more passes and makes each run longer.  The
     # kernel above never reaches its 3-digit divisor path either: up to
     # iroot(n, 3), n has four or more digits.
-    for b in range(cube + 1, math.isqrt(n) + 1):
-        digs = _palindromic_lsf(n, b)
-        if digs is not None:
-            return b, Representation(b, tuple(reversed(digs)))
-    for b, digs in _palindromic_bases(n, math.isqrt(n) + 1, n - 1, 2):
-        return b, Representation(b, tuple(reversed(digs)))
-    raise AssertionError(f"no palindromic base found for {n}")
+    for rep in _confirmed(n, range(cube + 1, root + 1)):
+        return rep.base, rep
+    for rep in _palindromic_bases(n, root + 1, n + 1, 1):
+        return rep.base, rep
 
 
 def complete_scan_bound(n_exp: int) -> int:
@@ -453,6 +445,8 @@ def pow2_complete_scan(n_exp: int, min_digits: int = 2, jobs: int = 1) -> ScanRe
     """
     if n_exp < 1:
         raise ValueError(f"exponent must be >= 1, got {n_exp}")
+    if min_digits < 1:
+        raise ValueError(f"min_digits must be >= 1, got {min_digits}")
     n = 1 << n_exp
     bound = complete_scan_bound(n_exp)
     if bound >= 2:

@@ -2,41 +2,34 @@
 
 Values are plain Python ints (arbitrary precision); a representation is a base
 together with its digit tuple, most-significant digit first, so that printed
-forms compare byte-for-byte against reference tables.
+forms compare byte-for-byte against reference tables.  Digits are extracted
+in one place, _digits_lsf, and evaluated in one, from_digits: to_digits
+converts through the extractor after checking its inputs, and the scan
+kernel's confirm step (palindrome._confirmed) calls it directly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 # Bases are capped so digit arithmetic stays in machine-word range on any
 # backend; every base this library searches is far below the cap.
 MAX_BASE = (1 << 63) - 1
 
 
-def digits_lsf(n: int, base: int) -> list[int]:
-    """Digits of n in ``base``, least-significant first; [0] for n = 0."""
-    if base < 2:
-        raise ValueError(f"base must be >= 2, got {base}")
-    if n < 0:
-        raise ValueError(f"value must be non-negative, got {n}")
-    if n == 0:
-        return [0]
+def _digits_lsf(n: int, base: int) -> list[int]:
+    """Digits of n in ``base``, least-significant first; [] for n = 0.
+
+    Unchecked: the caller guarantees n >= 0 and base >= 2 (base 1 never
+    ends the loop, base 0 divides by zero).  This is the package's one
+    digit loop; to_digits is its checked form.
+    """
     out = []
     while n:
         n, r = divmod(n, base)
         out.append(r)
     return out
-
-
-def digits_value(digits: Sequence[int], base: int) -> int:
-    """Evaluate a most-significant-first digit sequence in ``base``."""
-    acc = 0
-    for d in digits:
-        acc = acc * base + d
-    return acc
 
 
 @dataclass(frozen=True)
@@ -63,13 +56,6 @@ class Representation:
         if self.digits[0] == 0 and self.digits != (0,):
             raise ValueError("leading digit must be nonzero")
 
-    @property
-    def digit_count(self) -> int:
-        return len(self.digits)
-
-    def value(self) -> int:
-        return digits_value(self.digits, self.base)
-
     def __str__(self) -> str:
         return "(%s)_%d" % (",".join(map(str, self.digits)), self.base)
 
@@ -94,14 +80,6 @@ class ScaledRepresentation:
                     f"scaled digit {self.multiplier}*{d} overflows base {self.core.base}"
                 )
 
-    def expand(self) -> Representation:
-        return Representation(
-            self.core.base, tuple(self.multiplier * d for d in self.core.digits)
-        )
-
-    def value(self) -> int:
-        return self.multiplier * self.core.value()
-
     def __str__(self) -> str:
         if self.multiplier == 1:
             return str(self.core)
@@ -109,20 +87,32 @@ class ScaledRepresentation:
 
 
 def to_digits(n: int, base: int) -> Representation:
-    """Unique radix representation of n >= 0 in ``base``.
+    """Unique radix representation of n >= 0 in ``base``; (0) for n = 0.
+
+    The inputs are checked here, before the unchecked extractor runs.
 
     >>> str(to_digits(2023, 16))
     '(7,14,7)_16'
     """
+    if base < 2:
+        raise ValueError(f"base must be >= 2, got {base}")
     if base > MAX_BASE:
         raise ValueError(f"base {base} exceeds the 2**63 - 1 cap")
-    lsf = digits_lsf(n, base)
-    return Representation(base, tuple(reversed(lsf)))
+    if n < 0:
+        raise ValueError(f"value must be non-negative, got {n}")
+    return Representation(base, tuple(reversed(_digits_lsf(n, base))) or (0,))
 
 
 def from_digits(rep: Representation) -> int:
-    """Value of a representation: sum of digit * base**position."""
-    return digits_value(rep.digits, rep.base)
+    """Value of a representation: sum of digit * base**position.
+
+    Horner's rule, which shares no code with _digits_lsf, so a round trip
+    through to_digits and back checks the extractor.
+    """
+    acc, base = 0, rep.base
+    for d in rep.digits:
+        acc = acc * base + d
+    return acc
 
 
 def is_palindrome(rep: Representation) -> bool:

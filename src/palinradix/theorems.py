@@ -51,7 +51,10 @@ def even_digit_base_law(p: int, n_exp: int, scan_bound: int) -> bool:
 
     An even-length palindrome in base b forces (b+1) | p**n, so b + 1 must
     be a power of p; this scans for violations instead of assuming the
-    argument.
+    argument.  It converts every base with to_digits rather than reading the
+    scan kernel's hits: from base 1024 on, the kernel's even-digit bands
+    offer only the bases with (b+1) | N, so its hits assume the law checked
+    here.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -233,9 +236,9 @@ def check_conjectures(
     )
 
     bad = tuple(
-        {"n": n, "digits": to_digits(1 << n, 3).digits}
+        {"n": n, "digits": rep.digits}
         for n in exponents
-        if is_palindrome(to_digits(1 << n, 3)) != (n <= 4)
+        if is_palindrome(rep := to_digits(1 << n, 3)) != (n <= 4)
     )
     reports.append(
         ConjectureReport(

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import pathlib
@@ -8,6 +9,28 @@ import pytest
 from palinradix.cli import main
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
+
+SCAN_CSV_HEADER = (
+    "target,base,digits,palindromic,digit_count,binomial_alpha,binomial_k,mersenne_x\n"
+)
+
+# `scan --pow2 12 --format csv`, byte for byte
+POW2_12_CSV = SCAN_CSV_HEADER + """\
+4096,7,1 4 6 4 1,true,5,1,4,3
+4096,15,1 3 3 1,true,4,1,3,4
+4096,19,11 6 11,true,3,,,
+4096,31,4 8 4,true,3,4,2,5
+4096,63,1 2 1,true,3,1,2,6
+4096,127,32 32,true,2,32,1,7
+4096,255,16 16,true,2,16,1,8
+4096,511,8 8,true,2,8,1,9
+4096,1023,4 4,true,2,4,1,10
+4096,2047,2 2,true,2,2,1,11
+4096,4095,1 1,true,2,1,1,12
+"""
+
+# SHA-256 of `scan --pow2 12 --format json`: key order, indent, newline
+POW2_12_JSON_SHA256 = "c8460f00ba24278526e7b2d04c99d3d214c0798457170b7a8a476b33c57e8508"
 
 
 def run(capsys, *argv):
@@ -99,6 +122,21 @@ class TestScan:
         assert by_base["19"] == ["4096", "19", "11 6 11", "true", "3", "", "", ""]
         assert by_base["7"] == ["4096", "7", "1 4 6 4 1", "true", "5", "1", "4", "3"]
 
+    def test_output_bytes(self, capsys):
+        code, out, _ = run(capsys, "scan", "--pow2", "12", "--format", "csv")
+        assert (code, out) == (0, POW2_12_CSV)
+        code, out, _ = run(capsys, "scan", "--pow2", "12", "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == POW2_12_JSON_SHA256
+
+    @pytest.mark.parametrize("fmt,want", [("csv", SCAN_CSV_HEADER), ("json", "[]\n")])
+    def test_empty_scan(self, capsys, fmt, want):
+        code, out, _ = run(
+            capsys, "scan", "--pow2", "3", "--max-base", "2", "--min-digits", "3",
+            "--format", fmt,
+        )
+        assert (code, out) == (0, want)
+
     def test_explicit_range(self, capsys):
         code, out, _ = run(
             capsys, "scan", "--pow2", "3", "--min-base", "3", "--max-base", "5"
@@ -153,6 +191,8 @@ class TestScan:
             ("scan", "--pow2", "0"),
             ("scan", "--pow2", "5", "--min-base", "1"),
             ("scan", "--pow2", "5", "--min-base", "9", "--max-base", "4"),
+            ("scan", "--pow2", "1", "--min-digits", "0"),
+            ("scan", "--pow2", "5", "--min-digits", "0"),
             ("scan",),
         ],
     )

@@ -294,6 +294,13 @@ class TestPow2CompleteScan:
         with pytest.raises(ValueError):
             pow2_complete_scan(0)
 
+    @pytest.mark.parametrize("n_exp", [1, 2, 12])
+    @pytest.mark.parametrize("min_digits", [0, -5])
+    def test_min_digits_below_one(self, n_exp, min_digits):
+        # checked for every exponent, n = 1 included, where no base is scanned
+        with pytest.raises(ValueError, match="min_digits must be >= 1"):
+            pow2_complete_scan(n_exp, min_digits=min_digits)
+
     def test_jobs_deterministic(self):
         serial = pow2_complete_scan(22, jobs=1)
         parallel = pow2_complete_scan(22, jobs=4)

@@ -54,7 +54,7 @@ def edges(n):
 def test_pow2_complete_range(n_exp):
     n = 1 << n_exp
     bound = math.isqrt(n)
-    got = [(b, tuple(reversed(d))) for b, d in _palindromic_bases(n, 2, bound, 2)]
+    got = [(r.base, r.digits) for r in _palindromic_bases(n, 2, bound, 2)]
     assert got == oracle(n, 2, bound, 2)
 
 
@@ -209,7 +209,7 @@ def test_first_hit_stops_inside_a_long_run():
     b = 1 << 40
     n = b**3 + (b - 1) * b * b + (b - 1) * b + 1
     first = next(_palindromic_bases(n, b - 5, iroot(n, 3), 4))
-    assert (first[0], tuple(reversed(first[1]))) == oracle(n, b - 5, b, 4)[0]
+    assert (first.base, first.digits) == oracle(n, b - 5, b, 4)[0]
 
 
 def test_min_pal_base_pow2_frozen():
@@ -426,7 +426,7 @@ def test_divisor_path_off_in_four_digit_band(divisor_runs, short_div_runs):
     lo = iroot(n // 2, 3) + 1
     assert b - lo >= run_gate(n - 1)
     hits = list(_palindromic_bases(n, lo, b, 4))
-    assert hits[-1] == (b, [1, 0, 0, 1])
+    assert (hits[-1].base, hits[-1].digits) == (b, (1, 0, 0, 1))
     assert divisor_runs == [n]
 
 
@@ -722,7 +722,7 @@ def test_two_digit_band_against_closed_form(n, divisor_runs):
     los |= {b + d for b in hit_bases[:8] + hit_bases[-3:] for d in (0, 1)}
     for lo in sorted(los):
         divisor_runs.clear()
-        got = [(b, tuple(reversed(d))) for b, d in _palindromic_bases(n, lo, n - 1, 2)]
+        got = [(r.base, r.digits) for r in _palindromic_bases(n, lo, n - 1, 2)]
         assert got == [h for h in full if h[0] >= lo], lo
         if lo <= 5000:  # the rest of the band pays for divisors(n)
             assert divisor_runs == [n], lo
@@ -752,7 +752,7 @@ def test_two_digit_band_large_n(n, divisor_runs):
     lo = math.isqrt(n) + 1
     want = two_digit_hits(n, lo)
     divisor_runs.clear()
-    got = [(b, tuple(reversed(d))) for b, d in _palindromic_bases(n, lo, n - 1, 2)]
+    got = [(r.base, r.digits) for r in _palindromic_bases(n, lo, n - 1, 2)]
     assert got == want
     assert divisor_runs == [n]
 

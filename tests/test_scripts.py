@@ -56,3 +56,35 @@ def test_freeze_goldens_tables_match(tmp_path):
     for k in range(1, 6):
         name = f"table{k}.csv"
         assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
+
+
+def test_code_lines(capsys, tmp_path):
+    # blank lines, comments and the module, class and function docstrings
+    # do not count; a statement or string over two lines counts both
+    fixture = tmp_path / "fixture.py"
+    fixture.write_text(
+        '"""Module docstring,\n'
+        'over two lines."""\n'
+        "\n"
+        "import os  # a trailing comment\n"
+        "# a comment line\n"
+        "\n"
+        "class A:\n"
+        '    """Class docstring."""\n'
+        "\n"
+        "    def f(self, x):\n"
+        '        """Function docstring."""\n'
+        "        return (x +\n"
+        "                1)\n"
+        "\n"
+        'TEXT = """a string that is data,\n'
+        'not a docstring"""\n',
+        encoding="utf-8",
+    )
+    code_lines = load("code_lines")
+    assert code_lines.main([str(fixture), str(fixture)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"     7  {fixture}",
+        f"     7  {fixture}",
+        "    14  total",
+    ]
