@@ -4,21 +4,31 @@ Primality is deterministic Miller-Rabin over the first 13 prime witnesses,
 which is exact for all n < 3_317_044_064_679_887_385_961_981 (Sorenson and
 Webster); larger inputs are rejected rather than answered probabilistically.
 Factorization divides by the primes up to _TRIAL_BOUND = 200 with a 2/3/5
-wheel (_trial_divide, which returns the factors found and the cofactor left,
-so that a caller can weigh the rest of the factorization before paying for
-it), then splits what is left with Brent's variant of Pollard rho, which
-finds a prime factor p in about sqrt(p) steps.  The bound was measured: on
-40-60-bit inputs, the scan kernel's n - c among them, divisors() costs least
-with it between 100 and 300, 15-20% more at 10**3, and 30-100x more at
-10**6, where the wheel alone takes about 10 ms.  A cofactor at or past the
-Miller-Rabin bound cannot be proved prime, so for it the wheel runs on, to
-10**6, until what is left falls below the bound.  A cofactor of 1 means
-that trial division split n fully, as it does 2**n and p**k for p <= 200.
+wheel (_trial_divide, which returns the factors found and the cofactor
+left), then splits what is left with Brent's variant of Pollard rho (R. P.
+Brent, BIT 20, 1980), which finds a prime factor p in about sqrt(p) steps.
+The bound was measured: on 40-60-bit inputs, the scan kernel's n - c among
+them, divisors() costs least with it between 100 and 300, 15-20% more at
+10**3, and 30-100x more at 10**6, where the wheel alone takes about 10 ms.
+A cofactor at or past the Miller-Rabin bound cannot be proved prime, so for
+it the wheel runs on, to 10**6, until what is left falls below the bound.
+A cofactor of 1 means that trial division split n fully, as it does 2**n
+and p**k for p <= 200.
+
+divisors() can also try within limits, for a caller that has a cheaper way
+to the same answer: a budget of rho steps, each one evaluation of
+y -> y*y + c mod m, and a cap on the divisor count.  It answers None, never
+a partial list, when either would be passed, and, under a finite budget,
+when the wheel to 200 leaves a cofactor past the Miller-Rabin bound.  The
+steps rho takes depend on its input alone, so whether a try succeeds is
+deterministic.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate, repeat
+from operator import mul
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
@@ -51,10 +61,19 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _brent_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n, via Brent's cycle finding."""
+def _brent_rho(n: int, budget: float = math.inf) -> tuple[int, int]:
+    """(d, steps): a nontrivial factor d of composite odd n, found by
+    Brent's cycle finding in `steps` evaluations of y -> y*y + c mod n.
+
+    Steps are taken in chunks (an advance of r steps, a block of at most
+    128, one step of a backtrack), and a chunk that would pass the budget
+    is not begun: d is then 0, and steps <= budget.  The steps depend on n
+    alone, so rho splits n within a budget B iff B is at least the steps
+    it takes unbounded.
+    """
     if n % 2 == 0:
-        return 2
+        return 2, 0
+    steps = 0
     # Deterministic seed sweep: each (y0, c) pair is tried in turn, and for
     # word-sized composites one of the early pairs always succeeds.
     for c in range(1, 100):
@@ -62,12 +81,19 @@ def _brent_rho(n: int) -> int:
         x = ys = y
         while g == 1:
             x = y
+            if steps + r > budget:
+                return 0, steps
+            steps += r
             for _ in range(r):
                 y = (y * y + c) % n
             k = 0
             while k < r and g == 1:
                 ys = y
-                for _ in range(min(128, r - k)):
+                block = min(128, r - k)
+                if steps + block > budget:
+                    return 0, steps
+                steps += block
+                for _ in range(block):
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n
                 g = math.gcd(q, n)
@@ -76,10 +102,13 @@ def _brent_rho(n: int) -> int:
         if g == n:
             g = 1
             while g == 1:
+                if steps >= budget:
+                    return 0, steps
+                steps += 1
                 ys = (ys * ys + c) % n
                 g = math.gcd(abs(x - ys), n)
         if g != n:
-            return g
+            return g, steps
     raise ValueError(f"rho failed to split {n}")
 
 
@@ -120,43 +149,85 @@ def _trial_divide(
     return out, n
 
 
+def _factorize(n: int, budget: float, max_count: float) -> dict[int, int] | None:
+    """{p: e} for n >= 1, or None when the split would take Brent rho more
+    than budget steps in all, or once n is known to have more than
+    max_count divisors before rho is called.
+
+    Under a finite budget a cofactor that the wheel to _TRIAL_BOUND leaves
+    at or past the Miller-Rabin bound gives None too; unbounded, the wheel
+    runs on to _TRIAL_BOUND_PAST_MR.  A cofactor m > 1 has only primes past
+    the wheel's, so it at least doubles the count of the divisors found by
+    the wheel: past max_count, the split stops before rho.
+    """
+    if n < 1:
+        raise ValueError(f"expected a positive integer, got {n}")
+    out, n = _trial_divide(n)
+    if n >= _MR_LIMIT:
+        if budget < math.inf:
+            return None
+        more, n = _trial_divide(n, _TRIAL_BOUND_PAST_MR, _MR_LIMIT)
+        for p, e in more.items():
+            out[p] = out.get(p, 0) + e
+    if n > 1 and 2 * math.prod(e + 1 for e in out.values()) > max_count:
+        return None
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        d, steps = _brent_rho(m, budget)
+        if not d:
+            return None
+        budget -= steps
+        stack.append(d)
+        stack.append(m // d)
+    return dict(sorted(out.items()))
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization as {prime: exponent}; factorize(1) == {}.
 
     >>> factorize(2**6 - 1)
     {3: 2, 7: 1}
     """
-    if n < 1:
-        raise ValueError(f"expected a positive integer, got {n}")
-    out, n = _trial_divide(n)
-    if n >= _MR_LIMIT:
-        more, n = _trial_divide(n, _TRIAL_BOUND_PAST_MR, _MR_LIMIT)
-        for p, e in more.items():
-            out[p] = out.get(p, 0) + e
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _brent_rho(m)
-        stack.append(d)
-        stack.append(m // d)
-    return dict(sorted(out.items()))
+    return _factorize(n, math.inf, math.inf)
 
 
-def divisors(n: int) -> list[int]:
+def divisors(
+    n: int, *, budget: float = math.inf, max_count: float = math.inf
+) -> list[int] | None:
     """All positive divisors of n, ascending.
+
+    Under a budget, a count of Brent rho steps, or a max_count, the answer
+    is None, never a partial list, when the budget runs out, when trial
+    division leaves a cofactor past the Miller-Rabin bound (only under a
+    finite budget), or when n has more than max_count divisors.  Both are
+    unbounded by default, and the answer is then always the list.  Each
+    prime's powers are computed once: the longer of the list so far and
+    those powers, times each element of the shorter, gives sorted runs,
+    which one sort merges.
 
     >>> divisors(63)
     [1, 3, 7, 9, 21, 63]
+    >>> divisors(2**40, max_count=40) is None
+    True
     """
+    factors = _factorize(n, budget, max_count)
+    if factors is None:
+        return None
+    if max_count < math.inf and math.prod(e + 1 for e in factors.values()) > max_count:
+        return None
     divs = [1]
-    for p, e in factorize(n).items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
+    for p, e in factors.items():
+        powers = [1, *accumulate(repeat(p, e), mul)]
+        if len(divs) < len(powers):
+            divs, powers = powers, divs
+        if len(powers) > 1:
+            divs = [d * q for q in powers for d in divs]
+            divs.sort()
+    return divs
 
 
 def iroot(n: int, k: int) -> int:

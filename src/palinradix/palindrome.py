@@ -5,9 +5,9 @@ Base-range scans, min_pal_base outside its 3-digit bases, and the
 2-digit part of pow2_complete_scan all run on one kernel,
 _palindromic_bases.  It walks the bases by digit count and leading digit
 and tests most of them with one modulo each; two divisor laws take whole
-runs and bands at once, through one step, whenever trial division shows
-that divisors() costs less than the scan.  In the 3-digit band a long
-run of one leading digit c takes its candidates from divisors(n - c).
+runs and bands at once, through one step, whenever divisors() splits the
+number within a budget of half the scan it replaces.  In the 3-digit band
+a long run of one leading digit c takes its candidates from divisors(n - c).
 Where n has an even number of digits, a palindrome forces (b + 1) | n,
 so from base 1024 on such a band's candidates come from divisors(n); for
 2**n they are the bases 2**x - 1 alone, and in the 2-digit band, past
@@ -34,7 +34,7 @@ from multiprocessing import Pool
 from typing import Iterator, NamedTuple
 
 from .binomial import BinomialClassification, classify_binomial
-from .numtheory import _MR_LIMIT, _trial_divide, divisors, iroot
+from .numtheory import divisors, iroot
 from .radix import MAX_BASE, Representation, _digits_lsf, from_digits, is_palindrome
 
 
@@ -110,20 +110,23 @@ _RUN_MIN = 16
 _SLICE = 1024
 # Costs count in bases of the modulo filter, 55-85 ns each on n of 16-60
 # bits and about 180 ns at 64 bits (CPython 3.11, x86-64).  A run or band
-# takes its candidates from divisors() only when it is at least
-# _divisors_cost bases long, so that it costs no more than the scan.
-# divisors() builds and sorts its list in 0.3-1.1 us a divisor (n of 20-252
-# bits, up to 276k divisors): each divisor counts as _DIV_EACH bases.  A
-# cofactor m left by trial division costs most as the product of two primes
-# near its square root, as Brent rho then takes about m**(1/4) steps: over
-# 1560 such m of 16-64 bits it cost at most _DIV_RUN_MIN + 31.7 * m**(1/4)
-# bases, so a cofactor m > 1 counts _DIV_RUN_MIN + _DIV_RUN_ROOT * m**(1/4).
-# A 3-digit run also needs _DIV_RUN_MIN bases before its n - c is weighed,
-# so that the thousands of shorter runs of a complete scan do not each pay
-# about 12 us of trial division.
+# of L = end - b bases tries divisors() within half of what its scan would
+# cost, and is scanned when the try fails: Brent rho may take L / 2 bases'
+# worth of steps (each one y -> y*y + c mod m), and the number may have at
+# most L / _DIV_EACH divisors.  Tries that ran out took 430-500 ns a step
+# on m of 36-60 bits, 5.7-6.3 bases of the filter there, and 520-590 ns,
+# about 3 bases, at 70-80 bits: each step counts as _RHO_STEP bases, so
+# that a failed try costs at most about half the scan, plus trial
+# division and a primality test or two.  divisors() builds its list in
+# 0.1-0.2 us a divisor on n with hundreds of divisors or more: each
+# divisor counts as _DIV_EACH bases.  For a number that trial division
+# splits fully, as it does 2**n, rho is never called and the rule is
+# L >= _DIV_EACH * (divisor count).  A 3-digit run also needs _DIV_RUN_MIN
+# bases before it tries, so that the thousands of shorter runs of a
+# complete scan do not each pay about 12 us of trial division.
 _DIV_EACH = 16
 _DIV_RUN_MIN = 4096
-_DIV_RUN_ROOT = 32
+_RHO_STEP = 8
 # From this base on, short runs are tested b/16 bases at a time by one list
 # comprehension; below it, one base at a time, which costs less per call on
 # the small n whose searches end there.  Even-digit bands are taken from
@@ -132,24 +135,13 @@ _DIV_RUN_ROOT = 32
 _BLOCK_MIN = 1024
 
 
-def _divisors_cost(n: int) -> float:
-    """An upper bound on what divisors(n) costs, in bases of the scan; inf
-    where factorize cannot prove the cofactor's factors prime.
-
-    Trial division splits n into the factors up to _TRIAL_BOUND and a
-    cofactor m.  Each divisor costs _DIV_EACH bases; their count is the
-    product of e + 1 over the split-off factors, times at most 2**k for m,
-    whose k prime factors all exceed 2**7.  A cofactor m > 1 adds Brent
-    rho's bound, _DIV_RUN_MIN + _DIV_RUN_ROOT * m**(1/4).
-    """
-    factors, m = _trial_divide(n)
-    if m >= _MR_LIMIT:
-        return math.inf
-    count = math.prod(e + 1 for e in factors.values()) << m.bit_length() // 7
-    cost = _DIV_EACH * count
-    if m > 1:
-        cost += _DIV_RUN_MIN + _DIV_RUN_ROOT * iroot(m, 4)
-    return cost
+def _divisors_within(n: int, length: int) -> list[int] | None:
+    """divisors(n) when the run or band b..b + length pays for it, else
+    None: rho may take length / 2 bases' worth of steps, and n may have at
+    most length / _DIV_EACH divisors."""
+    return divisors(
+        n, budget=length // (2 * _RHO_STEP), max_count=length // _DIV_EACH
+    )
 
 
 def _confirmed(n: int, bases) -> Iterator[Representation]:
@@ -192,9 +184,11 @@ def _palindromic_bases(
     _BLOCK_MIN on the band b..end = iroot(n, p) takes its candidates d - 1
     from the divisors d of n in [b + 1, end + 1], and the walk resumes one
     digit lower.  At p = 1 this is the 2-digit law (c,c)_b iff
-    c * (b + 1) = n.  A run or band takes that step when end - b is at
-    least _divisors_cost of the number to split (a run also needs
-    _DIV_RUN_MIN bases): never while trial division leaves a cofactor past
+    c * (b + 1) = n.  A run or band of L = end - b bases (a run needs
+    _DIV_RUN_MIN of them) tries that step within a budget
+    (_divisors_within): it is scanned when Brent rho would take more than
+    L / 2 bases' worth of steps, when n has more than L / _DIV_EACH
+    divisors, or when trial division leaves a cofactor past
     the Miller-Rabin bound.  divisors(n) is computed at most once a call,
     when an even band first pays for it.  All these tests only filter:
     every candidate is confirmed by full digit extraction (_confirmed),
@@ -214,18 +208,15 @@ def _palindromic_bases(
     if p < min_digits - 1:
         return
     b, run_min = lo, _RUN_MIN * p
-    cost = divs = None  # _divisors_cost(n) and divisors(n), when first needed
-    scanned = 0  # an odd p whose band is scanned: divisors(n) cost more
+    divs = None  # divisors(n), once an even band has paid for it
+    scanned = 0  # an odd p whose band is scanned: its try of divisors(n) failed
     while p and b <= hi:
         c = n // b**p
         if b >= _BLOCK_MIN and c and p & 1 and p != scanned:
             # n has p + 1 digits, an even number: (b + 1) | n
             end = min(hi, iroot(n, p))  # the band's last base
             if divs is None:
-                if cost is None:
-                    cost = _divisors_cost(n)
-                if end - b >= cost:
-                    divs = divisors(n)
+                divs = _divisors_within(n, end - b)
             if divs is not None:
                 yield from _confirmed(n, _divisor_bases(divs, b, end, 1))
                 b = end + 1
@@ -245,10 +236,11 @@ def _palindromic_bases(
         elif c:  # a long run
             end = min(hi, iroot(n // c, p))  # the run's last base
             m = n - c
-            if p == 2 and end - b >= _DIV_RUN_MIN and end - b >= _divisors_cost(m):
+            if p == 2 and end - b >= _DIV_RUN_MIN:
                 # n = (c, d, c)_x forces x | m
-                yield from _confirmed(n, _divisor_bases(divisors(m), b, end, 0))
-                b = end + 1
+                if (divs_m := _divisors_within(m, end - b)) is not None:
+                    yield from _confirmed(n, _divisor_bases(divs_m, b, end, 0))
+                    b = end + 1
             while b <= end:
                 stop = min(end, b + _SLICE - 1)
                 yield from _confirmed(n, [x for x in range(b, stop + 1) if not m % x])
@@ -321,8 +313,8 @@ def min_pal_base(n: int) -> tuple[int, Representation]:
     bases up to iroot(n, 3), which give n four or more digits, are searched
     by the band kernel _palindromic_bases: from base 1024 on, a band where
     n has an even number of digits takes its candidates from divisors(n)
-    when trial division splits n cheaply enough (_divisors_cost), as it
-    does 2**n, whose candidates there are the bases 2**x - 1.  The 3-digit
+    when n splits within the band's budget (_divisors_within), as 2**n
+    does, whose candidates there are the bases 2**x - 1.  The 3-digit
     bases after them are confirmed one by one.  Beyond isqrt(n) only 1- and
     2-digit representations remain, and the kernel takes the 2-digit band
     (isqrt(n), n] as its even band at p = 1: (c,c)_b with n = c*(b+1),

@@ -1,12 +1,15 @@
+import itertools
 import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from palinradix import numtheory
 from palinradix.numtheory import (
     _MR_LIMIT,
     _TRIAL_BOUND,
+    _brent_rho,
     _trial_divide,
     divisors,
     factorize,
@@ -178,6 +181,99 @@ class TestDivisors:
         assert all(n % d == 0 for d in divs)
         tau = product(e + 1 for e in factorize(n).values())
         assert len(divs) == tau
+
+
+    def test_highly_composite(self):
+        # 963761198400 = 2**6 * 3**4 * 5**2 * 7 * 11 * 13 * 17 * 19 * 23,
+        # against every product of prime powers
+        fac = factorize(963761198400)
+        powers = [[p**k for k in range(e + 1)] for p, e in fac.items()]
+        want = sorted(product(c) for c in itertools.product(*powers))
+        assert divisors(963761198400) == want and len(want) == 6720
+
+
+def random_prime(bits, rng):
+    while True:
+        p = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+        if is_prime(p):
+            return p
+
+
+class TestDivisorsBudget:
+    """divisors under a budget of Brent rho steps and a cap on the divisor
+    count: the whole list or None, never a partial list."""
+
+    @pytest.mark.parametrize("bits", [15, 20, 24])
+    def test_rho_budget_edge(self, bits, rng):
+        # rho splits m within a budget iff the budget covers the steps it
+        # takes unbounded, and it never takes more steps than it is given
+        for _ in range(5):
+            p, q = random_prime(bits, rng), random_prime(bits, rng)
+            if p == q:
+                continue
+            m = p * q
+            d, steps = _brent_rho(m)
+            assert d in (p, q) and steps > 0
+            assert _brent_rho(m, steps) == (d, steps)
+            short, used = _brent_rho(m, steps - 1)
+            assert short == 0 and used <= steps - 1
+            assert divisors(m, budget=steps) == sorted((1, p, q, m))
+            assert divisors(m, budget=steps - 1) is None
+
+    def test_never_partial(self, monkeypatch, rng):
+        # three primes past the wheel take two rho splits or more: any
+        # budget short of their summed steps gives None, any other the whole
+        # list, and rho's steps never pass the budget
+        m = 1000003 * 1000033 * 1000037
+        full = divisors(m)
+        steps = []
+        real_rho = numtheory._brent_rho
+
+        def rho_spy(n, budget=math.inf):
+            d, used = real_rho(n, budget)
+            assert used <= budget
+            steps.append(used)
+            return d, used
+
+        monkeypatch.setattr(numtheory, "_brent_rho", rho_spy)
+        assert divisors(m, budget=10**9) == full
+        need = sum(steps)
+        assert len(steps) >= 2
+        budgets = {0, 1, steps[0], need - 1, need, need + 1}
+        budgets |= {rng.randint(0, 2 * need) for _ in range(30)}
+        for budget in sorted(budgets):
+            steps.clear()
+            got = divisors(m, budget=budget)
+            assert sum(steps) <= budget
+            assert got == (full if budget >= need else None), budget
+
+    def test_max_count(self):
+        assert divisors(963761198400, max_count=6719) is None
+        assert len(divisors(963761198400, max_count=6720)) == 6720
+        assert divisors(2**40, max_count=40) is None
+        assert divisors(2**40, max_count=41) == [2**k for k in range(41)]
+        # a cofactor past the wheel counts once split: 21 * 2 * 2 divisors
+        n = 2**20 * 1000003 * 1000033
+        assert divisors(n, max_count=83) is None
+        assert len(divisors(n, max_count=84)) == 84
+
+    def test_max_count_ends_before_rho(self, monkeypatch):
+        # 2**20 times a cofactor has at least 21 * 2 divisors, so a cap of
+        # 41 ends the try without a rho step
+        monkeypatch.setattr(numtheory, "_brent_rho", None)
+        assert divisors(2**20 * 1000003 * 1000033, max_count=41) is None
+
+    def test_past_mr_limit(self):
+        # under a finite budget a cofactor past the Miller-Rabin bound gives
+        # None at once; unbounded, the wheel runs on to 10**6 as factorize's
+        m = 1_649_267_441_959 * 2_199_023_255_579
+        assert m > _MR_LIMIT and divisors(m, budget=10**9) is None
+        with pytest.raises(ValueError):
+            divisors(m)
+        assert divisors(3511**7, budget=10**9) is None
+        assert divisors(3511**7) == [3511**k for k in range(8)]
+        # a cofactor below the bound once the wheel to 200 is done
+        assert divisors((1 << 82) - 1, budget=10**9) == divisors((1 << 82) - 1)
 
 
 class TestIroot:

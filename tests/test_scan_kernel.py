@@ -9,11 +9,19 @@ filter.
 import csv
 import math
 import pathlib
+from typing import NamedTuple
 
 import pytest
 
 from palinradix import palindrome
-from palinradix.numtheory import _MR_LIMIT, _trial_divide, divisors, iroot, is_prime
+from palinradix.numtheory import (
+    _MR_LIMIT,
+    _brent_rho,
+    _trial_divide,
+    divisors,
+    iroot,
+    is_prime,
+)
 from palinradix.palindrome import (
     _BLOCK_MIN,
     _RUN_MIN,
@@ -229,25 +237,61 @@ def test_min_pal_base_pow2_frozen():
 
 @pytest.fixture
 def divisor_runs(monkeypatch):
-    """The m = n - c whose divisors the kernel took, in call order."""
+    """The m = n - c whose divisors the kernel took, in call order; a try
+    that came back without a list is not listed."""
     calls = []
 
-    def spy(m):
-        calls.append(m)
-        return divisors(m)
+    def spy(m, **limits):
+        divs = divisors(m, **limits)
+        if divs is not None:
+            calls.append(m)
+        return divs
 
     monkeypatch.setattr("palinradix.palindrome.divisors", spy)
     return calls
 
 
+class Try(NamedTuple):
+    m: int
+    budget: float
+    max_count: float
+    taken: bool
+    rho_steps: int  # summed over the try's rho calls
+
+
+@pytest.fixture
+def divisor_tries(monkeypatch):
+    """Every try of the divisor step, as a Try, in call order.  Brent
+    rho's steps are counted by a spy that also checks each call stayed
+    within the budget it was given."""
+    tries, steps = [], []
+
+    def rho_spy(m, budget=math.inf):
+        d, used = _brent_rho(m, budget)
+        assert used <= budget, (m, used, budget)
+        steps.append(used)
+        return d, used
+
+    def spy(m, budget=math.inf, max_count=math.inf):
+        steps.clear()
+        divs = divisors(m, budget=budget, max_count=max_count)
+        tries.append(Try(m, budget, max_count, divs is not None, sum(steps)))
+        return divs
+
+    monkeypatch.setattr("palinradix.numtheory._brent_rho", rho_spy)
+    monkeypatch.setattr("palinradix.palindrome.divisors", spy)
+    return tries
+
+
 @pytest.fixture
 def short_div_runs(monkeypatch):
-    """Drop the cost model's root term and per-divisor weight, so that
-    _divisors_cost is at most _DIV_RUN_MIN below the Miller-Rabin bound and
-    every 3-digit run of _DIV_RUN_MIN bases or more takes the divisor path:
-    the windows below then reach it on n small enough for the oracle."""
-    monkeypatch.setattr("palinradix.palindrome._DIV_RUN_ROOT", 0)
-    monkeypatch.setattr("palinradix.palindrome._DIV_EACH", 0)
+    """Weigh rho steps and divisors at almost nothing, so that a try's
+    budget and divisor cap are vast yet finite: every 3-digit run of
+    _DIV_RUN_MIN bases or more takes the divisor path unless trial division
+    leaves a cofactor past the Miller-Rabin bound, and the windows below
+    reach it on n small enough for the oracle."""
+    monkeypatch.setattr("palinradix.palindrome._RHO_STEP", 2.0**-40)
+    monkeypatch.setattr("palinradix.palindrome._DIV_EACH", 2.0**-40)
 
 
 def run_bounds(n, c):
@@ -256,16 +300,21 @@ def run_bounds(n, c):
     return math.isqrt(n // (c + 1)) + 1, math.isqrt(n // c)
 
 
-def run_gate(m):
-    """The fewest bases past the first, end - b, that a 3-digit run whose
-    n - c is m needs to take the divisor path."""
-    return max(palindrome._DIV_RUN_MIN, palindrome._divisors_cost(m))
-
-
 def takes_divisor_path(n, c, lo, hi):
     """Whether the kernel, entering the run of c at lo, takes bases lo..hi
     of it from divisors(n - c)."""
-    return hi - lo >= run_gate(n - c)
+    return (
+        hi - lo >= palindrome._DIV_RUN_MIN
+        and palindrome._divisors_within(n - c, hi - lo) is not None
+    )
+
+
+def step_gate(tau, rho_steps):
+    """The fewest bases past the first, end - b, with which a run or band
+    takes the divisor step, for a number with tau divisors whose rho
+    splits take rho_steps steps: rho gets half the run's scan at
+    _RHO_STEP bases a step, and each divisor weighs _DIV_EACH bases."""
+    return max(2 * palindrome._RHO_STEP * rho_steps, palindrome._DIV_EACH * tau)
 
 
 @pytest.mark.parametrize("n", [1 << 36, 3**23, 10**11 + 3])
@@ -347,26 +396,73 @@ def test_divisor_path_jobs_two_splits_a_run(
 # n, and the gate of its run of leading digit 1 with the real constants
 RUN_GATES = {
     1 << 36: 16 * 512,  # n - 1 = 3**3 * 5 * 7 * 13 * 19 * 37 * 73 * 109
-    # n - 1 = 2 * 3 * 7 * (1543 * 1543067): the cofactor adds rho's bound
-    10**11 + 3: 16 * 8 * 2**4 + 4096 + 32 * 220,
+    # n - 1 = 2 * 3 * 7 * (1543 * 1543067): rho splits the cofactor in 254
+    # steps, which fit the budget of _DIV_RUN_MIN bases
+    10**11 + 3: 4096,
+    # n - 1 = 2 * 609067 * 619813: rho takes 1662 steps, 16 bases each
+    2 * 609067 * 619813 + 1: 16 * 1662,
     3 * 2**36 + 1: 4096,  # 74 divisors: _DIV_RUN_MIN rules
 }
 
 
 @pytest.mark.parametrize("n", list(RUN_GATES))
-def test_divisor_path_cost_bound(n, divisor_runs):
-    # with the real constants, the run of leading digit 1 entered
-    # max(_DIV_RUN_MIN, _divisors_cost(n - 1)) bases before its last base
-    # takes the divisor path, and entered one base later does not
+def test_divisor_path_cost_bound(n, divisor_tries):
+    # with the real constants, the run of leading digit 1 entered `gate`
+    # bases before its last base takes the divisor path, and entered one
+    # base later does not: its try gets one rho step or one divisor too few
+    # (or, at _DIV_RUN_MIN, is not made)
     _, last = run_bounds(n, 1)
     gate = RUN_GATES[n]
-    assert run_gate(n - 1) == gate
     lo = last - gate
     assert scan(n, lo, last, 3) == oracle(n, lo, last, 3)
-    assert divisor_runs == [n - 1]
-    divisor_runs.clear()
+    [taken] = divisor_tries
+    assert taken.m == n - 1 and taken.taken
+    assert (taken.budget, taken.max_count) == (gate // 16, gate // 16)
+    tau = len(divisors(n - 1))
+    assert max(palindrome._DIV_RUN_MIN, step_gate(tau, taken.rho_steps)) == gate
+    divisor_tries.clear()
     assert scan(n, lo + 1, last, 3) == oracle(n, lo + 1, last, 3)
-    assert divisor_runs == []
+    assert [t.taken for t in divisor_tries] == ([False] if gate > 4096 else [])
+
+
+def balanced_semiprime(bits, rng):
+    """(p, q): primes with p < q < 2p whose product has the given bit
+    length, both near its square root: rho's hardest case of that size."""
+    while True:
+        p = rng.getrandbits(bits // 2) | 1 << (bits // 2 - 1) | 1
+        q = p + 2 * rng.randint(1, p // 4)
+        if (p * q).bit_length() == bits and is_prime(p) and is_prime(q):
+            return p, q
+
+
+@pytest.mark.parametrize("bits", [36, 44, 52, 60, 70, 80])
+def test_divisor_path_adversarial_semiprimes(bits, rng, divisor_tries):
+    # n - 1 = p * q with p < q < 2p puts (1, q - p, 1)_p in the run of
+    # leading digit 1.  Windows of 4096 to about 60000 bases around p each
+    # try the divisor step within their budget; rho never runs past it,
+    # the tries that split n - 1 take the step, and hits match the
+    # oracle's whether or not they did
+    taken = 0
+    for _ in range(2):
+        p, q = balanced_semiprime(bits, rng)
+        n = p * q + 1
+        first, last = run_bounds(n, 1)
+        for width in (4096, 12000, 40000):
+            lo, hi = max(first, p - width), min(last, p + width // 2)
+            assert hi - lo >= width
+            divisor_tries.clear()
+            got = scan(n, lo, hi, 3)
+            assert got == oracle(n, lo, hi, 3), (n, lo, hi)
+            assert (p, (1, q - p, 1)) in got
+            [t] = divisor_tries
+            assert t.m == p * q and t.budget == (hi - lo) // 16
+            assert t.rho_steps <= t.budget
+            assert t.taken == (_brent_rho(p * q, t.budget)[0] != 0)
+            taken += t.taken
+    if bits <= 44:
+        assert taken, bits  # rho splits most such m within budget
+    if bits >= 60:
+        assert not taken, bits  # about 2**(bits/4) steps: past every budget
 
 
 # primes p, q past 2**40, so that p * q passes the Miller-Rabin bound and
@@ -378,13 +474,13 @@ PAST_MR_SEMIPRIMES = {
 }
 
 
-def test_divisor_path_off_past_mr_limit(monkeypatch, divisor_runs):
-    # with the cost model out of the way every long 3-digit run below the
-    # Miller-Rabin bound takes the divisor path.  Past it, a run takes it
-    # only when trial division to 200 leaves a cofactor below the bound:
-    # not on n - c = p * q with p, q > 200, where divisors() would raise
-    for name in ("_DIV_RUN_MIN", "_DIV_RUN_ROOT", "_DIV_EACH"):
-        monkeypatch.setattr(f"palinradix.palindrome.{name}", 0)
+def test_divisor_path_off_past_mr_limit(monkeypatch, divisor_runs, short_div_runs):
+    # with the length check and the budget out of the way every long
+    # 3-digit run below the Miller-Rabin bound takes the divisor path.
+    # Past it, a run takes it only when trial division to 200 leaves a
+    # cofactor below the bound: not on n - c = p * q with p, q > 200, where
+    # the unbudgeted divisors() would raise
+    monkeypatch.setattr("palinradix.palindrome._DIV_RUN_MIN", 0)
     for c, (p, q) in PAST_MR_SEMIPRIMES.items():
         assert is_prime(p) and is_prime(q)
         n = p * q + c
@@ -403,28 +499,37 @@ def test_divisor_path_off_past_mr_limit(monkeypatch, divisor_runs):
     assert divisor_runs == [n - 1, n - 2, n - 5]
 
 
-def test_divisor_path_off_on_short_windows_of_2_80(divisor_runs):
-    # windows of 6000 bases at the ends of the runs of 2**80: rho's worst
-    # case on n - c, about 2**20 steps, would cost far more than the window
+def test_divisor_path_tries_short_windows_of_2_80(divisor_tries):
+    # windows of 6000 bases at the ends of the runs of 2**80 try the step
+    # with a budget of 375 rho steps: rho's worst case on n - c, about
+    # 2**20 steps, would cost far more than the window, but many n - c
+    # split within it, and only those take the step
     n = 1 << 80
+    taken = []
     for c in range(2, 40):
         _, last = run_bounds(n, c)
-        assert not takes_divisor_path(n, c, last - 6000, last)
+        divisor_tries.clear()
         got = scan(n, last - 6000, last, 3)
-        if c in (2, 13, 39):
+        if c in (2, 8, 13, 39):
             assert got == oracle(n, last - 6000, last, 3), c
-    assert divisor_runs == []
+        [t] = divisor_tries
+        assert (t.m, t.budget, t.max_count) == (n - c, 375, 375)
+        assert t.rho_steps <= t.budget
+        if t.taken:
+            taken.append(c)
+    assert 8 in taken and 2 not in taken and len(taken) < 30
 
 
 def test_divisor_path_off_in_four_digit_band(divisor_runs, short_div_runs):
     # the run of leading digit 1 where 2**66 + 1 has 4 digits is about
-    # 840k bases long, longer than the bound without its root term, yet
-    # never takes divisors(n - c): that path is for 3-digit runs only.  The
-    # band has an even digit count, so it takes divisors(n) instead.
+    # 840k bases long, long enough to split n - 1 as a 3-digit run would,
+    # yet never takes divisors(n - c): that path is for 3-digit runs only.
+    # The band has an even digit count, so it takes divisors(n) instead.
     b = 1 << 22
     n = b**3 + 1  # (1, 0, 0, 1)_b, on the run's last base
     lo = iroot(n // 2, 3) + 1
-    assert b - lo >= run_gate(n - 1)
+    assert takes_divisor_path(n, 1, lo, b)
+    divisor_runs.clear()
     hits = list(_palindromic_bases(n, lo, b, 4))
     assert (hits[-1].base, hits[-1].digits) == (b, (1, 0, 0, 1))
     assert divisor_runs == [n]
@@ -482,7 +587,7 @@ def test_even_band_complete_windows(n, taken, divisor_runs):
 
 def test_even_band_pow2_first_hits(divisor_runs):
     # the b(2**n) of the frozen list that lie in an even band past 1024;
-    # a band shorter than _divisors_cost(2**n) = 16 * (n + 1) bases is
+    # a band shorter than 16 * (n + 1) bases, 16 a divisor of 2**n, is
     # scanned, and so is every later one until one pays for divisors(2**n)
     with open(DATA_DIR / "pow2_minbase.csv", encoding="utf-8", newline="") as fh:
         rows = [
@@ -567,7 +672,8 @@ def test_even_band_planted_at_block_min(b, rng, divisor_runs):
     for _ in range(3):
         c, d, n = split_planted(b, 500, b - 1, rng, max_divisors=400)
         hi = iroot(n, 3) + 10
-        assert hi - _BLOCK_MIN > palindrome._divisors_cost(n)
+        # n is fully split by trial division: the band pays for its divisors
+        assert hi - _BLOCK_MIN > palindrome._DIV_EACH * len(divisors(n))
         for lo in (1000, b - 1, b, b + 1):
             divisor_runs.clear()
             got = scan(n, lo, hi, 3)
@@ -609,7 +715,7 @@ def test_even_band_jobs_two_splits_a_band(rng, pool_sizes, divisor_runs):
         lo = b - 6000 + shift  # the second chunk starts at lo + 6000
         hi = lo + 11_999
         assert iroot(n, 4) < lo and hi <= iroot(n, 3)
-        assert 6000 > palindrome._divisors_cost(n)
+        assert 6000 > palindrome._DIV_EACH * len(divisors(n))  # fully split
         divisor_runs.clear()
         got = scan(n, lo, hi, 3, jobs=2)
         assert got == scan(n, lo, hi, 3) == oracle(n, lo, hi, 3), (n, lo)
@@ -641,41 +747,50 @@ def test_even_band_two_digit_band(n, min_digits, divisor_runs):
         assert scan(n, lo, hi, min_digits) == oracle(n, lo, hi, min_digits), (lo, hi)
 
 
-def test_even_band_cost_edge(divisor_runs):
-    # a band entered _divisors_cost(n) bases before its last base takes
-    # the divisor path, entered one base later it is scanned
-    for n in (
-        2**30 * 3**10,  # fully split, 341 divisors
-        3**9 * 1000003 * 1000033,  # a cofactor m > 1: rho's bound counts
+def test_even_band_cost_edge(divisor_tries):
+    # a band entered step_gate bases before its last base takes the
+    # divisor path, entered one base later it is scanned
+    for n, tau, rho_steps in (
+        (2**30 * 3**10, 341, 0),  # fully split: the divisor count rules
+        # a cofactor m > 1 that rho splits in 1022 steps, 16 bases each
+        (3**9 * 1000003 * 1000033, 40, _brent_rho(1000003 * 1000033)[1]),
     ):
         first, last = even_bands(n)[0]
-        cost = palindrome._divisors_cost(n)
-        assert 5000 < cost < last - first
-        for lo, taken in ((last - cost, True), (last - cost + 1, False)):
-            divisor_runs.clear()
+        gate = step_gate(tau, rho_steps)
+        assert 5000 < gate < last - first
+        for lo, taken in ((last - gate, True), (last - gate + 1, False)):
+            divisor_tries.clear()
             assert scan(n, lo, last, 4) == oracle(n, lo, last, 4), (n, lo)
-            assert divisor_runs == ([n] if taken else []), (n, lo)
+            assert [(t.m, t.taken) for t in divisor_tries] == [(n, taken)], (n, lo)
 
 
 def test_even_band_cost_model():
-    each = palindrome._DIV_EACH
-    # an n with millions of divisors takes its small even bands by scanning
+    within = palindrome._divisors_within
+    # an n with millions of divisors takes its small even bands by
+    # scanning; the try ends on the divisor count of the wheel's primes
     n = 2**10 * 3**6 * 5**4 * 7**3 * 11**2 * 13**2
     n *= 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47
-    assert palindrome._divisors_cost(n) == each * 11 * 7 * 5 * 4 * 3 * 3 * 2**9
-    # a cofactor m of 40 bits may hold 5 primes past 200 and costs rho's bound
+    tau = 11 * 7 * 5 * 4 * 3 * 3 * 2**9
+    assert within(n, 16 * tau - 1) is None
+    # 2**200: no rho, 201 divisors at 16 bases each
+    assert within(1 << 200, 16 * 201 - 1) is None
+    assert within(1 << 200, 16 * 201) == [1 << k for k in range(201)]
+    # a cofactor m that rho splits: half the band buys its steps
     m = 1000003 * 1000033
-    rho = palindrome._DIV_RUN_MIN + palindrome._DIV_RUN_ROOT * iroot(m, 4)
-    assert palindrome._divisors_cost(3**9 * m) == each * 10 * 2**5 + rho
-    assert palindrome._divisors_cost(1 << 200) == each * 201
+    n = 3**9 * m
+    steps = _brent_rho(m)[1]
+    assert within(n, 16 * steps - 1) is None
+    assert within(n, 16 * steps) == divisors(n)
+    # past the Miller-Rabin bound no length pays
+    assert within(3000**9 + 1, 10**12) is None
 
 
 def test_even_band_block_min_edge(divisor_runs):
     # the band of 3**24 = 282429536481 with 4 digits is 730..6561; a window
-    # whose band part from 1024 on is one base short of _divisors_cost(n)
-    # is scanned, even when it starts below 1024
+    # whose band part from 1024 on is one base short of 16 bases a divisor
+    # of n is scanned, even when it starts below 1024
     n = 3**24
-    cost = palindrome._divisors_cost(n)
+    cost = palindrome._DIV_EACH * 25  # fully split, 25 divisors
     assert iroot(n, 4) < 1000 and iroot(n, 3) > _BLOCK_MIN + cost
     for lo, hi, taken in (
         (_BLOCK_MIN, _BLOCK_MIN + cost, True),
@@ -694,7 +809,7 @@ def test_even_band_off_past_mr_limit(divisor_runs):
     n = 3000**9 + 1
     m = _trial_divide(n)[1]
     assert m >= _MR_LIMIT and m % (613 * 1129) == 0  # 13 * 613 * 1129 = b*b - b + 1
-    assert palindrome._divisors_cost(n) == math.inf
+    assert palindrome._divisors_within(n, 10**12) is None
     assert min_pal_base(n) == naive_min_pal_base(n)
     for first, last in even_bands(n):
         lo, hi = max(first - 5, 2), min(last + 5, first + 2000)
