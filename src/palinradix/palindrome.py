@@ -7,21 +7,23 @@ _palindromic_bases.  It walks the bases by digit count and leading digit
 and tests most of them with one modulo each; two divisor laws take whole
 runs and bands at once, through one step, whenever divisors() splits the
 number within a budget of half the scan it replaces.  In the 3-digit band
-a long run of one leading digit c takes its candidates from divisors(n - c).
-Where n has an even number of digits, a palindrome forces (b + 1) | n,
-so from base 1024 on such a band's candidates come from divisors(n); for
-2**n they are the bases 2**x - 1 alone, and in the 2-digit band, past
-isqrt(n), they are the (c,c)_b with c * (b + 1) = n.  Every candidate
-ends in one confirm step, _confirmed, which extracts its digits once and
-builds the hit's Representation; min_pal_base passes the 3-digit bases
-to it one by one.  Base-range scans are embarrassingly parallel: a range
-is split into contiguous chunks, each chunk is scanned independently,
-and the chunk results are concatenated in order, so the merged report is
-identical for any job count.  The environment variable
-PALINRADIX_MAX_BASE, when set, caps the ranges of enumerate_palindromes
-and the scanned part of pow2_complete_scan; a capped scan is reported as
-non-exhaustive.  min_pal_base, the 2-digit part of pow2_complete_scan
-and the closed-form families ignore it.
+a run of one leading digit c takes its candidates from divisors(n - c),
+and the runs long enough to gain share one sieve that splits every n - c
+they need at once.  Where n has an even number of digits, a palindrome
+forces (b + 1) | n, so from base 1024 on such a band's candidates come
+from divisors(n); for 2**n they are the bases 2**x - 1 alone, and in the
+2-digit band, past isqrt(n), they are the (c,c)_b with c * (b + 1) = n.
+Every candidate ends in one confirm step, _confirmed, which extracts its
+digits once and builds the hit's Representation; min_pal_base passes the
+3-digit bases to it one by one.  Base-range scans are embarrassingly
+parallel: a range is split into contiguous chunks, each chunk is scanned
+independently, with a sieve of its own, and the chunk results are
+concatenated in order, so the merged report is identical for any job
+count.  The environment variable PALINRADIX_MAX_BASE, when set, caps the
+ranges of enumerate_palindromes and the scanned part of
+pow2_complete_scan; a capped scan is reported as non-exhaustive.
+min_pal_base, the 2-digit part of pow2_complete_scan and the closed-form
+families ignore it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from multiprocessing import Pool
 from typing import Iterator, NamedTuple
 
 from .binomial import BinomialClassification, classify_binomial
-from .numtheory import divisors, iroot
+from .numtheory import _trial_divide, divisors, iroot, shifted_splits
 from .radix import MAX_BASE, Representation, _digits_lsf, from_digits, is_palindrome
 
 
@@ -116,17 +118,40 @@ _SLICE = 1024
 # most L / _DIV_EACH divisors.  Tries that ran out took 430-500 ns a step
 # on m of 36-60 bits, 5.7-6.3 bases of the filter there, and 520-590 ns,
 # about 3 bases, at 70-80 bits: each step counts as _RHO_STEP bases, so
-# that a failed try costs at most about half the scan, plus trial
-# division and a primality test or two.  divisors() builds its list in
-# 0.1-0.2 us a divisor on n with hundreds of divisors or more: each
-# divisor counts as _DIV_EACH bases.  For a number that trial division
-# splits fully, as it does 2**n, rho is never called and the rule is
-# L >= _DIV_EACH * (divisor count).  A 3-digit run also needs _DIV_RUN_MIN
-# bases before it tries, so that the thousands of shorter runs of a
-# complete scan do not each pay about 12 us of trial division.
+# that a failed try costs at most about half the scan, plus a primality
+# test or two.  divisors() builds its list in 0.1-0.2 us a divisor on n
+# with hundreds of divisors or more: each divisor counts as _DIV_EACH
+# bases.  For a number that trial division splits fully, as it does 2**n,
+# rho is never called and the rule is L >= _DIV_EACH * (divisor count).
 _DIV_EACH = 16
-_DIV_RUN_MIN = 4096
 _RHO_STEP = 8
+# A 3-digit run of at least _SIEVE_RUN_MIN bases takes n - c's split from a
+# sieve shared by the runs that follow it (numtheory.shifted_splits), not
+# from trial division of its own, which cost about 12 us a run.  Run floors
+# of 128 to 512 timed within the noise over 2**38..2**43; few runs shorter
+# than 256 bases pay for n - c's divisors at _DIV_EACH bases each.
+_SIEVE_RUN_MIN = 256
+# The sieve runs over at most _SIEVE_SPAN leading digits at a time, so its
+# memory does not grow with n: a complete scan of 2**43 sieves about 320
+# digits, one of 2**56 about 6500.  It costs about 60 ns, one base, a prime
+# below its bound, and about 1 us a digit.  Its bound is the number of
+# bases the segment's runs hold from b on over _SIEVE_EACH, at most
+# _SIEVE_MAX, so its primes cost at most 1.5% of the bases they serve; a
+# segment whose bound would fall below _SIEVE_MIN, the wheel's reach in
+# numtheory, is scanned, which keeps small scans (2**n, n <= 20, with at
+# most about 300 bases in such runs) from sieving.  Near 2**43 a bound of
+# 2**16 splits 58% of the n - c with no primality test, 2**14 36%.
+_SIEVE_SPAN = 1024
+_SIEVE_EACH = 16
+_SIEVE_MIN = 200
+_SIEVE_MAX = 1 << 16
+# A split that leaves a cofactor m >= bound**2 needs a primality test of m,
+# 50 us at 40 bits, and perhaps rho: runs of 256-1023 bases that made such
+# tries paid 49-51 us each against 15-60 us of scan over 2**38..2**43, so a
+# run with a cofactor tries only from _COFACTOR_RUN_MIN bases on.  Gates
+# of 512 to 2048 timed alike over 2**38..2**43, and 1024 to 4096 at 2**50
+# and 2**56.
+_COFACTOR_RUN_MIN = 1024
 # From this base on, short runs are tested b/16 bases at a time by one list
 # comprehension; below it, one base at a time, which costs less per call on
 # the small n whose searches end there.  Even-digit bands are taken from
@@ -135,13 +160,31 @@ _RHO_STEP = 8
 _BLOCK_MIN = 1024
 
 
-def _divisors_within(n: int, length: int) -> list[int] | None:
-    """divisors(n) when the run or band b..b + length pays for it, else
-    None: rho may take length / 2 bases' worth of steps, and n may have at
-    most length / _DIV_EACH divisors."""
+def _divisors_within(
+    n: int, length: int, split: tuple[dict[int, int], int] | None = None
+) -> list[int] | None:
+    """divisors(n), from the split when given, when the run or band
+    b..b + length pays for it, else None: rho may take length / 2 bases'
+    worth of steps, and n may have at most length / _DIV_EACH divisors."""
     return divisors(
-        n, budget=length // (2 * _RHO_STEP), max_count=length // _DIV_EACH
+        n,
+        budget=length // (2 * _RHO_STEP),
+        max_count=length // _DIV_EACH,
+        split=split,
     )
+
+
+def _sieved(n: int, b: int, hi: int, c: int) -> tuple[int, list | None]:
+    """(c_lo, splits) for the next segment of leading digits, c_lo..c: at
+    most _SIEVE_SPAN of them, none below the digit of the window's last
+    3-digit base, and splits[x - c_lo] is the split of n - x.  The sieve's
+    bound is the bases those digits' runs hold from b on over _SIEVE_EACH,
+    at most _SIEVE_MAX; where it would fall below _SIEVE_MIN no sieve is
+    made, and splits is None."""
+    last = min(hi, math.isqrt(n))  # the window's last 3-digit base
+    c_lo = max(c - _SIEVE_SPAN + 1, n // last**2)
+    bound = min(_SIEVE_MAX, (min(last, math.isqrt(n // c_lo)) - b) // _SIEVE_EACH)
+    return c_lo, shifted_splits(n, c_lo, c, bound) if bound >= _SIEVE_MIN else None
 
 
 def _confirmed(n: int, bases) -> Iterator[Representation]:
@@ -184,17 +227,21 @@ def _palindromic_bases(
     _BLOCK_MIN on the band b..end = iroot(n, p) takes its candidates d - 1
     from the divisors d of n in [b + 1, end + 1], and the walk resumes one
     digit lower.  At p = 1 this is the 2-digit law (c,c)_b iff
-    c * (b + 1) = n.  A run or band of L = end - b bases (a run needs
-    _DIV_RUN_MIN of them) tries that step within a budget
-    (_divisors_within): it is scanned when Brent rho would take more than
-    L / 2 bases' worth of steps, when n has more than L / _DIV_EACH
-    divisors, or when trial division leaves a cofactor past
-    the Miller-Rabin bound.  divisors(n) is computed at most once a call,
-    when an even band first pays for it.  All these tests only filter:
-    every candidate is confirmed by full digit extraction (_confirmed),
-    which builds its Representation.  Past n every base reads n as the one
-    digit (n), yielded without a test.  Hits are yielded as they are
-    found, in ascending order, so a search may stop at its first one.
+    c * (b + 1) = n.  A run or band of L = end - b bases tries that step
+    within a budget (_divisors_within): it is scanned when Brent rho would
+    take more than L / 2 bases' worth of steps, when n has more than
+    L / _DIV_EACH divisors, or when the split leaves a cofactor past the
+    Miller-Rabin bound.  A 3-digit run needs _SIEVE_RUN_MIN bases, and its
+    split of n - c comes from a sieve over the leading digits of the runs
+    ahead (_sieved), made only where those runs hold enough bases to pay
+    for it; a split that leaves a cofactor to test needs
+    _COFACTOR_RUN_MIN bases.  n itself is trial-divided once a call, and
+    divisors(n) is computed at most once, when an even band first pays for
+    it.  All these tests only filter: every candidate is confirmed by full
+    digit extraction (_confirmed), which builds its Representation.  Past
+    n every base reads n as the one digit (n), yielded without a test.
+    Hits are yielded as they are found, in ascending order, so a search
+    may stop at its first one.
 
     >>> [str(r) for r in _palindromic_bases(2**12, 2, 64, 3)]
     ['(1,4,6,4,1)_7', '(1,3,3,1)_15', '(11,6,11)_19', '(4,8,4)_31', '(1,2,1)_63']
@@ -209,6 +256,8 @@ def _palindromic_bases(
         return
     b, run_min = lo, _RUN_MIN * p
     divs = None  # divisors(n), once an even band has paid for it
+    n_split = None  # n's small factors and cofactor, for every try of divisors(n)
+    sieved_from, splits = n, None  # splits of n - c for c >= sieved_from
     scanned = 0  # an odd p whose band is scanned: its try of divisors(n) failed
     while p and b <= hi:
         c = n // b**p
@@ -216,7 +265,8 @@ def _palindromic_bases(
             # n has p + 1 digits, an even number: (b + 1) | n
             end = min(hi, iroot(n, p))  # the band's last base
             if divs is None:
-                divs = _divisors_within(n, end - b)
+                n_split = n_split or _trial_divide(n)
+                divs = _divisors_within(n, end - b, n_split)
             if divs is not None:
                 yield from _confirmed(n, _divisor_bases(divs, b, end, 1))
                 b = end + 1
@@ -236,9 +286,16 @@ def _palindromic_bases(
         elif c:  # a long run
             end = min(hi, iroot(n // c, p))  # the run's last base
             m = n - c
-            if p == 2 and end - b >= _DIV_RUN_MIN:
+            if p == 2 and end - b >= _SIEVE_RUN_MIN:
                 # n = (c, d, c)_x forces x | m
-                if (divs_m := _divisors_within(m, end - b)) is not None:
+                if c < sieved_from:
+                    sieved_from, splits = _sieved(n, b, hi, c)
+                split = splits and splits[c - sieved_from]
+                if (
+                    split
+                    and (split[1] == 1 or end - b >= _COFACTOR_RUN_MIN)
+                    and (divs_m := _divisors_within(m, end - b, split)) is not None
+                ):
                     yield from _confirmed(n, _divisor_bases(divs_m, b, end, 0))
                     b = end + 1
             while b <= end:

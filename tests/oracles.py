@@ -4,7 +4,9 @@ and the number-theory and digit helpers only the tests use.
 The palindrome oracles convert n to base b with radix.to_digits for every
 base in turn and test the digit tuple: no bands, no leading-digit runs, no
 divisibility filter, no divisor path.  The factorization oracle divides by
-every integer in turn: no wheel, no Pollard rho.
+every integer in turn: no wheel, no sieve, no Pollard rho.  The strong
+probable-prime test takes its witnesses from the caller, so a test can
+hold numtheory's witness tiers against all 13 witnesses.
 """
 
 import hashlib
@@ -68,6 +70,27 @@ def trial_factorize(n: int, limit: int) -> tuple[dict[int, int], int]:
         out[n] = out.get(n, 0) + 1
         n = 1
     return dict(sorted(out.items())), n
+
+
+def strong_probable_prime(n: int, witnesses) -> bool:
+    """Whether odd n > 2 passes the strong probable-prime test to every
+    base a in witnesses (a not divisible by n): with n - 1 = d * 2**s,
+    a**d = 1 or a**(d * 2**r) = -1 (mod n) for some r < s."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in witnesses:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def prime_power(n: int) -> tuple[int, int] | None:

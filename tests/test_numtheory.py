@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -7,18 +11,29 @@ from hypothesis import strategies as st
 
 from palinradix import numtheory
 from palinradix.numtheory import (
+    _MR_BOUNDS,
+    _MR_COUNTS,
     _MR_LIMIT,
+    _MR_WITNESSES,
     _TRIAL_BOUND,
     _brent_rho,
+    _primes_below,
     _trial_divide,
     divisors,
     factorize,
     iroot,
     is_prime,
     perfect_power,
+    shifted_splits,
 )
 
-from oracles import multiplicity, prime_power, product, trial_factorize
+from oracles import (
+    multiplicity,
+    prime_power,
+    product,
+    strong_probable_prime,
+    trial_factorize,
+)
 
 
 def _sieve(limit):
@@ -60,6 +75,40 @@ class TestIsPrime:
             n += 1
         with pytest.raises(ValueError):
             is_prime(n)
+
+
+class TestWitnessTiers:
+    """is_prime takes the first k prime witnesses below psi_k, the least
+    strong pseudoprime to them; at and past psi_k it takes the next tier."""
+
+    def test_thresholds_are_composite(self):
+        # psi_k itself gets the next tier's witnesses: a tier compared
+        # with <= would call it prime
+        for psi in _MR_BOUNDS[:-1]:
+            assert not is_prime(psi), psi
+        assert 1287836182261 * 2575672364521 == _MR_LIMIT
+
+    def test_thresholds_fool_their_tier(self):
+        # each psi_k passes the strong test to the k bases that serve below
+        # it and fails the next tier's, so no tier could be a step longer
+        for i, psi in enumerate(_MR_BOUNDS):
+            assert strong_probable_prime(psi, _MR_WITNESSES[: _MR_COUNTS[i]]), psi
+            if i + 1 < len(_MR_BOUNDS):
+                assert not strong_probable_prime(psi, _MR_WITNESSES[: _MR_COUNTS[i + 1]])
+
+    def test_agrees_with_all_witnesses(self, rng):
+        # random odd n in every tier, primes among them, against the strong
+        # test to all 13 witnesses
+        primes = 0
+        for lo, hi in zip((43,) + _MR_BOUNDS, _MR_BOUNDS):
+            for _ in range(150):
+                n = rng.randrange(lo, hi) | 1
+                want = all(n % p for p in _MR_WITNESSES) and strong_probable_prime(
+                    n, _MR_WITNESSES
+                )
+                assert is_prime(n) == want, n
+                primes += want
+        assert primes > 40
 
 
 class TestFactorize:
@@ -192,6 +241,67 @@ class TestDivisors:
         assert divisors(963761198400) == want and len(want) == 6720
 
 
+class TestShiftedSplits:
+    """shifted_splits against trial division of each n - c by every
+    integer below the bound."""
+
+    def check(self, n, c_lo, c_hi, bound):
+        got = shifted_splits(n, c_lo, c_hi, bound)
+        assert len(got) == c_hi - c_lo + 1
+        for c, split in zip(range(c_lo, c_hi + 1), got):
+            assert split == trial_factorize(n - c, bound - 1), (n, c, bound)
+
+    def test_from_one(self, rng):
+        for bits in (80, 64, 63, 40, 20):
+            self.check(rng.getrandbits(bits) | 1 << (bits - 1), 1, 200, 1 << 11)
+
+    def test_random(self, rng):
+        for _ in range(60):
+            n = rng.randrange(2, 1 << rng.randint(2, 80))
+            c_lo = rng.choice((1, rng.randrange(0, n)))
+            c_hi = min(n - 1, c_lo + rng.randint(0, 150))
+            self.check(n, c_lo, c_hi, rng.randint(2, 3000))
+
+    def test_prime_powers(self):
+        # q**e | n - c with e >= 3, for small and large q, and a power of
+        # the largest prime below the bound
+        for q, e in ((2, 40), (3, 9), (7, 5), (211, 3), (2039, 3)):
+            for c in (1, 17, 100):
+                n = c + q**e * 12345
+                self.check(n, max(1, c - 5), c + 5, 2048)
+                self.check(n, c, c, q + 1)
+
+    def test_below_the_bound(self):
+        # every n - c below the bound: primes and 1 are split by themselves
+        self.check(500, 1, 499, 1000)
+        self.check(500, 1, 499, 500)
+        assert shifted_splits(12, 11, 11, 5) == [({}, 1)]
+
+    def test_square_of_the_bound(self):
+        # a cofactor of bound**2, bound prime, has no prime factor below
+        # the bound and is no prime: it is left for the caller
+        assert shifted_splits(8 * 211**2 + 5, 5, 5, 211) == [({2: 3}, 211**2)]
+        assert shifted_splits(8 * 211**2 + 5, 5, 5, 212) == [({2: 3, 211: 2}, 1)]
+        assert shifted_splits(211 * 223 + 5, 5, 5, 211) == [({}, 211 * 223)]
+        assert shifted_splits(211 * 199 + 5, 5, 5, 211) == [({199: 1, 211: 1}, 1)]
+
+    def test_primes_below(self):
+        flags = _sieve(3000)
+        for bound in (3000, 2, 3, 4, 100, 2048, 3001):
+            assert _primes_below(bound) == [p for p in range(bound) if flags[p]]
+
+    def test_prime_table_not_built_at_import(self):
+        # the table is built on first use, never by importing the package
+        code = (
+            "import palinradix, palinradix.cli, palinradix.tables;"
+            "from palinradix import numtheory;"
+            "assert numtheory._sieved_to == 0 and numtheory._primes == []"
+        )
+        src = pathlib.Path(numtheory.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
 def random_prime(bits, rng):
     while True:
         p = rng.getrandbits(bits) | 1 << (bits - 1) | 1
@@ -262,6 +372,26 @@ class TestDivisorsBudget:
         # 41 ends the try without a rho step
         monkeypatch.setattr(numtheory, "_brent_rho", None)
         assert divisors(2**20 * 1000003 * 1000033, max_count=41) is None
+
+    def test_split_given(self, rng):
+        # a split from _trial_divide gives divisors' own answer under any
+        # limits; one from shifted_splits, with more primes, the same list
+        # unbounded and the list or None under limits; neither is changed
+        for _ in range(40):
+            n = rng.randrange(1, 1 << rng.randint(1, 60))
+            full = divisors(n)
+            limits = {"budget": 50, "max_count": 64}
+            split, sieved = _trial_divide(n), shifted_splits(n, 0, 0, 1 << 12)[0]
+            kept = [(dict(f), m) for f, m in (split, sieved)]
+            assert divisors(n, split=split) == divisors(n, split=sieved) == full
+            assert divisors(n, split=split, **limits) == divisors(n, **limits)
+            assert divisors(n, split=sieved, **limits) in (None, full)
+            assert [split, sieved] == kept
+
+    def test_split_skips_trial_division(self, monkeypatch):
+        split = _trial_divide(2**20 * 1000003 * 1000033)
+        monkeypatch.setattr(numtheory, "_trial_divide", None)
+        assert len(divisors(2**20 * 1000003 * 1000033, split=split)) == 84
 
     def test_past_mr_limit(self):
         # under a finite budget a cofactor past the Miller-Rabin bound gives

@@ -14,6 +14,7 @@ from typing import NamedTuple
 import pytest
 
 from palinradix import palindrome
+from palinradix.tables import render_csv
 from palinradix.numtheory import (
     _MR_LIMIT,
     _brent_rho,
@@ -21,6 +22,7 @@ from palinradix.numtheory import (
     divisors,
     iroot,
     is_prime,
+    shifted_splits,
 )
 from palinradix.palindrome import (
     _BLOCK_MIN,
@@ -255,6 +257,7 @@ class Try(NamedTuple):
     m: int
     budget: float
     max_count: float
+    split: tuple | None  # the small factors and cofactor the kernel passed
     taken: bool
     rho_steps: int  # summed over the try's rho calls
 
@@ -272,10 +275,10 @@ def divisor_tries(monkeypatch):
         steps.append(used)
         return d, used
 
-    def spy(m, budget=math.inf, max_count=math.inf):
+    def spy(m, budget=math.inf, max_count=math.inf, split=None):
         steps.clear()
-        divs = divisors(m, budget=budget, max_count=max_count)
-        tries.append(Try(m, budget, max_count, divs is not None, sum(steps)))
+        divs = divisors(m, budget=budget, max_count=max_count, split=split)
+        tries.append(Try(m, budget, max_count, split, divs is not None, sum(steps)))
         return divs
 
     monkeypatch.setattr("palinradix.numtheory._brent_rho", rho_spy)
@@ -284,12 +287,26 @@ def divisor_tries(monkeypatch):
 
 
 @pytest.fixture
+def sieve_calls(monkeypatch):
+    """(c_lo, c_hi, bound) of every sieve the kernel makes, in call order."""
+    calls = []
+
+    def spy(n, c_lo, c_hi, bound):
+        calls.append((c_lo, c_hi, bound))
+        return shifted_splits(n, c_lo, c_hi, bound)
+
+    monkeypatch.setattr("palinradix.palindrome.shifted_splits", spy)
+    return calls
+
+
+@pytest.fixture
 def short_div_runs(monkeypatch):
     """Weigh rho steps and divisors at almost nothing, so that a try's
     budget and divisor cap are vast yet finite: every 3-digit run of
-    _DIV_RUN_MIN bases or more takes the divisor path unless trial division
-    leaves a cofactor past the Miller-Rabin bound, and the windows below
-    reach it on n small enough for the oracle."""
+    _COFACTOR_RUN_MIN bases or more in a window that pays for the sieve
+    takes the divisor path unless its split leaves a cofactor past the
+    Miller-Rabin bound, and the windows below reach it on n small enough
+    for the oracle."""
     monkeypatch.setattr("palinradix.palindrome._RHO_STEP", 2.0**-40)
     monkeypatch.setattr("palinradix.palindrome._DIV_EACH", 2.0**-40)
 
@@ -301,12 +318,20 @@ def run_bounds(n, c):
 
 
 def takes_divisor_path(n, c, lo, hi):
-    """Whether the kernel, entering the run of c at lo, takes bases lo..hi
-    of it from divisors(n - c)."""
-    return (
-        hi - lo >= palindrome._DIV_RUN_MIN
-        and palindrome._divisors_within(n - c, hi - lo) is not None
-    )
+    """Whether the kernel, entering the run of c at lo with a window that
+    ends at hi inside it, takes bases lo..hi from divisors(n - c): the run
+    is long enough, the window pays for a sieve, and the split from it
+    leaves no cofactor or the run pays for its test, and divisors(n - c)
+    fits the run's budget."""
+    if hi - lo < palindrome._SIEVE_RUN_MIN:
+        return False
+    c_lo, splits = palindrome._sieved(n, lo, hi, c)
+    if splits is None:
+        return False
+    split = splits[c - c_lo]
+    if split[1] > 1 and hi - lo < palindrome._COFACTOR_RUN_MIN:
+        return False
+    return palindrome._divisors_within(n - c, hi - lo, split) is not None
 
 
 def step_gate(tau, rho_steps):
@@ -315,6 +340,10 @@ def step_gate(tau, rho_steps):
     splits take rho_steps steps: rho gets half the run's scan at
     _RHO_STEP bases a step, and each divisor weighs _DIV_EACH bases."""
     return max(2 * palindrome._RHO_STEP * rho_steps, palindrome._DIV_EACH * tau)
+
+
+# the fewest bases with which a window of one 3-digit run pays for a sieve
+SIEVE_GATE = palindrome._SIEVE_EACH * palindrome._SIEVE_MIN
 
 
 @pytest.mark.parametrize("n", [1 << 36, 3**23, 10**11 + 3])
@@ -393,24 +422,29 @@ def test_divisor_path_jobs_two_splits_a_run(
     assert pool_sizes == [2, 2, 2, 2]
 
 
-# n, and the gate of its run of leading digit 1 with the real constants
+# n, and the gate of its run of leading digit 1 with the real constants: a
+# window of that one run pays for a sieve from SIEVE_GATE bases on, and the
+# sieve takes the primes below the window's length over _SIEVE_EACH
 RUN_GATES = {
-    1 << 36: 16 * 512,  # n - 1 = 3**3 * 5 * 7 * 13 * 19 * 37 * 73 * 109
-    # n - 1 = 2 * 3 * 7 * (1543 * 1543067): rho splits the cofactor in 254
-    # steps, which fit the budget of _DIV_RUN_MIN bases
-    10**11 + 3: 4096,
-    # n - 1 = 2 * 609067 * 619813: rho takes 1662 steps, 16 bases each
+    # n - 1 = 3**3 * 5 * 7 * 13 * 19 * 37 * 73 * 109: 512 divisors
+    1 << 36: 16 * 512,
+    # n - 1 = 2 * 3 * 7 * (1543 * 1543067): the sieve to 4064 // 16 leaves
+    # the cofactor, which rho splits in 254 steps, 16 bases each
+    10**11 + 3: 16 * 254,
+    # n - 1 = 2 * 609067 * 619813: rho takes 1662 steps
     2 * 609067 * 619813 + 1: 16 * 1662,
-    3 * 2**36 + 1: 4096,  # 74 divisors: _DIV_RUN_MIN rules
+    # n - 1 = 3 * 2**36: 74 divisors would pay from 1184 bases, the sieve
+    # from SIEVE_GATE
+    3 * 2**36 + 1: SIEVE_GATE,
 }
 
 
 @pytest.mark.parametrize("n", list(RUN_GATES))
-def test_divisor_path_cost_bound(n, divisor_tries):
+def test_divisor_path_cost_bound(n, divisor_tries, sieve_calls):
     # with the real constants, the run of leading digit 1 entered `gate`
     # bases before its last base takes the divisor path, and entered one
     # base later does not: its try gets one rho step or one divisor too few
-    # (or, at _DIV_RUN_MIN, is not made)
+    # (or, below SIEVE_GATE, the window makes no sieve and no try)
     _, last = run_bounds(n, 1)
     gate = RUN_GATES[n]
     lo = last - gate
@@ -418,11 +452,14 @@ def test_divisor_path_cost_bound(n, divisor_tries):
     [taken] = divisor_tries
     assert taken.m == n - 1 and taken.taken
     assert (taken.budget, taken.max_count) == (gate // 16, gate // 16)
+    # the one run's sieve, to the window's length over 16, gave its split
+    assert sieve_calls == [(1, 1, gate // 16)]
+    assert taken.split == trial_factorize(n - 1, gate // 16 - 1)
     tau = len(divisors(n - 1))
-    assert max(palindrome._DIV_RUN_MIN, step_gate(tau, taken.rho_steps)) == gate
+    assert max(SIEVE_GATE, step_gate(tau, taken.rho_steps)) == gate
     divisor_tries.clear()
     assert scan(n, lo + 1, last, 3) == oracle(n, lo + 1, last, 3)
-    assert [t.taken for t in divisor_tries] == ([False] if gate > 4096 else [])
+    assert [t.taken for t in divisor_tries] == ([False] if gate > SIEVE_GATE else [])
 
 
 def balanced_semiprime(bits, rng):
@@ -474,20 +511,19 @@ PAST_MR_SEMIPRIMES = {
 }
 
 
-def test_divisor_path_off_past_mr_limit(monkeypatch, divisor_runs, short_div_runs):
-    # with the length check and the budget out of the way every long
-    # 3-digit run below the Miller-Rabin bound takes the divisor path.
-    # Past it, a run takes it only when trial division to 200 leaves a
-    # cofactor below the bound: not on n - c = p * q with p, q > 200, where
-    # the unbudgeted divisors() would raise
-    monkeypatch.setattr("palinradix.palindrome._DIV_RUN_MIN", 0)
+def test_divisor_path_off_past_mr_limit(divisor_runs, short_div_runs):
+    # with the budget out of the way every long 3-digit run of a window
+    # that pays for a sieve takes the divisor path below the Miller-Rabin
+    # bound.  Past it, a run takes it only when the sieve leaves a cofactor
+    # below the bound: not on n - c = p * q with p, q > 2**40, where the
+    # unbudgeted divisors() would raise
     for c, (p, q) in PAST_MR_SEMIPRIMES.items():
         assert is_prime(p) and is_prime(q)
         n = p * q + c
         assert n - c >= _MR_LIMIT and _trial_divide(n - c) == ({}, n - c)
         first, last = run_bounds(n, c)
-        assert first < last - 1500
-        assert scan(n, last - 1500, last, 3) == oracle(n, last - 1500, last, 3), c
+        assert first < last - 4000
+        assert scan(n, last - 4000, last, 3) == oracle(n, last - 4000, last, 3), c
     assert divisor_runs == []
     # 2**82 - c for c = 1, 2, 5 leaves a cofactor of 75, 73 and 77 bits
     # below the bound (2**82 - 1 = 3 * 83 * 13367 * 164511353 * 8831418697)
@@ -495,44 +531,196 @@ def test_divisor_path_off_past_mr_limit(monkeypatch, divisor_runs, short_div_run
     for c in (1, 2, 5):
         assert n - c >= _MR_LIMIT > _trial_divide(n - c)[1]
         _, last = run_bounds(n, c)
-        assert scan(n, last - 1500, last, 3) == oracle(n, last - 1500, last, 3), c
+        assert scan(n, last - 4000, last, 3) == oracle(n, last - 4000, last, 3), c
     assert divisor_runs == [n - 1, n - 2, n - 5]
 
 
-def test_divisor_path_tries_short_windows_of_2_80(divisor_tries):
-    # windows of 6000 bases at the ends of the runs of 2**80 try the step
-    # with a budget of 375 rho steps: rho's worst case on n - c, about
-    # 2**20 steps, would cost far more than the window, but many n - c
-    # split within it, and only those take the step
+def test_divisor_path_past_mr_limit_real_constants(divisor_tries):
+    # with the real constants the same runs try within their budgets and
+    # nothing raises: the past-MR products are scanned, and each try of
+    # 2**82 - c stays within its rho budget
+    for c, (p, q) in PAST_MR_SEMIPRIMES.items():
+        n = p * q + c
+        _, last = run_bounds(n, c)
+        divisor_tries.clear()
+        assert scan(n, last - 6000, last, 3) == oracle(n, last - 6000, last, 3), c
+        [t] = divisor_tries
+        assert (t.m, t.taken, t.rho_steps) == (p * q, False, 0)
+    n = 1 << 82
+    for c in (1, 2, 5, 6):
+        _, last = run_bounds(n, c)
+        divisor_tries.clear()
+        assert scan(n, last - 6000, last, 3) == oracle(n, last - 6000, last, 3), c
+        [t] = divisor_tries
+        assert t.m == n - c and t.budget == 375 and t.rho_steps <= 375
+
+
+def test_divisor_path_tries_short_windows_of_2_80(divisor_tries, sieve_calls):
+    # windows of 6000 bases at the ends of the runs of 2**80 sieve their
+    # one digit to 375 and try the step with a budget of 375 rho steps:
+    # rho's worst case on n - c, about 2**20 steps, would cost far more
+    # than the window, but many n - c split within it, and only those take
+    # the step
     n = 1 << 80
     taken = []
     for c in range(2, 40):
         _, last = run_bounds(n, c)
         divisor_tries.clear()
+        sieve_calls.clear()
         got = scan(n, last - 6000, last, 3)
         if c in (2, 8, 13, 39):
             assert got == oracle(n, last - 6000, last, 3), c
+        assert sieve_calls == [(c, c, 375)]
         [t] = divisor_tries
         assert (t.m, t.budget, t.max_count) == (n - c, 375, 375)
+        assert t.split == trial_factorize(n - c, 374)
         assert t.rho_steps <= t.budget
         if t.taken:
             taken.append(c)
     assert 8 in taken and 2 not in taken and len(taken) < 30
 
 
-def test_divisor_path_off_in_four_digit_band(divisor_runs, short_div_runs):
+# -- the sieve: splits of n - c for the runs ahead --------------------------
+
+
+def sieved_digits(n, lo, hi):
+    """The leading digits of the 3-digit runs that a scan of lo..hi <=
+    isqrt(n) enters with _SIEVE_RUN_MIN bases or more ahead, highest first."""
+    out, b = [], max(lo, iroot(n, 3) + 1)
+    while b <= hi:
+        c = n // (b * b)
+        end = min(hi, math.isqrt(n // c))
+        long_run = c and b >= palindrome._RUN_MIN * 2 * c
+        if long_run and end - b >= palindrome._SIEVE_RUN_MIN:
+            out.append(c)
+        b = end + 1
+    return out
+
+
+@pytest.mark.parametrize("n", [1 << 40, 3**26 + 7])
+def test_sieve_windows_inside_a_segment(n, sieve_calls, divisor_runs):
+    # windows that start or end inside the one segment of a scan of the
+    # 3-digit band sieve just the digits of their own runs, from the first
+    # run long enough down to the digit of the window's last base
+    root = math.isqrt(n)
+    for lo, hi in (
+        (root // 2, root // 2 + 40_000),  # both ends inside runs
+        (root - 30_000, root),  # ends on the band's last base
+        (run_bounds(n, 3)[0], run_bounds(n, 3)[0] + 50_000),  # starts on a run
+        (run_bounds(n, 40)[0] + 7, run_bounds(n, 30)[1] - 7),
+    ):
+        sieve_calls.clear()
+        divisor_runs.clear()
+        assert scan(n, lo, hi, 3) == oracle(n, lo, hi, 3), (lo, hi)
+        digits = sieved_digits(n, lo, hi)
+        [(c_lo, c_hi, bound)] = sieve_calls
+        assert (c_lo, c_hi) == (n // hi**2, digits[0]), (lo, hi)
+        assert palindrome._SIEVE_MIN <= bound <= palindrome._SIEVE_MAX
+        assert divisor_runs and {n - m for m in divisor_runs} <= set(digits)
+
+
+def test_sieve_gates_the_runs(divisor_tries):
+    # over a complete scan of 2**36's 3-digit band every try comes with the
+    # sieve's split; runs from _SIEVE_RUN_MIN bases on try when the split
+    # is whole, and from _COFACTOR_RUN_MIN on when it leaves a cofactor
+    n = 1 << 36
+    lo, hi = iroot(n, 3) + 1, math.isqrt(n)
+    assert scan(n, lo, hi, 3) == oracle(n, lo, hi, 3)
+    lengths = {t.m: 16 * t.max_count for t in divisor_tries}
+    whole = [t for t in divisor_tries if t.split[1] == 1]
+    assert all(t.split[1] == 1 or lengths[t.m] >= 1024 for t in divisor_tries)
+    assert min(lengths[t.m] for t in whole) < 1024 and len(whole) < len(divisor_tries)
+    assert min(lengths.values()) >= palindrome._SIEVE_RUN_MIN
+
+
+def test_sieve_jobs_two_splits_a_segment(pool_sizes, sieve_calls, divisor_runs):
+    # two chunks that meet inside the run of 5 each sieve their own digits;
+    # that run is in both chunks' sieves, and each chunk's part of it takes
+    # the divisor path
+    n = 1 << 41
+    first, _ = run_bounds(n, 5)
+    meet = first + 20_000  # the second chunk's first base
+    lo, hi = meet - 60_000, meet + 59_999
+    got = scan(n, lo, hi, 3, jobs=2)
+    assert got == scan(n, lo, hi, 3) == oracle(n, lo, hi, 3)
+    assert pool_sizes == [2]
+    one, two, serial = sieve_calls
+    assert one[0] == two[1] == 5 and (one[1], two[0]) == (serial[1], serial[0])
+    assert (one[0], one[1]) == (5, sieved_digits(n, lo, meet - 1)[0])
+    assert divisor_runs.count(n - 5) == 3  # once a chunk, once serially
+
+
+def test_sieve_window_spans_segments(monkeypatch, sieve_calls, divisor_runs):
+    # with segments of 7 digits, a window of 30-odd digits sieves one
+    # segment after the other, each from the digit below the last one's
+    monkeypatch.setattr(palindrome, "_SIEVE_SPAN", 7)
+    n = 1 << 40
+    lo, hi = run_bounds(n, 40)[0] + 11, run_bounds(n, 8)[1] - 11
+    assert scan(n, lo, hi, 3) == oracle(n, lo, hi, 3)
+    digits = sieved_digits(n, lo, hi)
+    assert len(sieve_calls) == -(-(digits[0] - n // hi**2 + 1) // 7) >= 4
+    assert sieve_calls[0][1] == digits[0] and sieve_calls[-1][0] == n // hi**2
+    for (c_lo, c_hi, _), (next_lo, next_hi, _) in zip(sieve_calls, sieve_calls[1:]):
+        assert c_hi - c_lo + 1 == 7 and next_hi == c_lo - 1
+    assert len({n - m for m in divisor_runs}) >= 10
+
+
+def test_small_scans_do_not_sieve(sieve_calls):
+    # table 2's scans (2**n, n <= 20) and min_pal_base never make a sieve:
+    # their runs hold too few bases to pay for one
+    render_csv(2)
+    for n_exp in range(1, 21):
+        pow2_complete_scan(n_exp)
+    for n in (10**11 + 3, 963761198400, 1 << 44):
+        min_pal_base(n)
+    assert sieve_calls == []
+    pow2_complete_scan(30)
+    assert sieve_calls
+
+
+def test_even_band_one_trial_division_per_call(monkeypatch):
+    # every try of divisors(n) in one kernel call shares one split of n by
+    # trial division: over b(2**n) for n <= 200 the even bands try more
+    # often than there are kernel calls, and no call trial-divides twice
+    counts, tries = [], []
+    real_td, real_kernel = palindrome._trial_divide, palindrome._palindromic_bases
+
+    def td_spy(*args):
+        counts[-1] += 1
+        return real_td(*args)
+
+    def kernel_spy(*args):
+        counts.append(0)
+        yield from real_kernel(*args)
+
+    def divisors_spy(m, **limits):
+        tries.append(m)
+        return divisors(m, **limits)
+
+    monkeypatch.setattr(palindrome, "_trial_divide", td_spy)
+    monkeypatch.setattr("palinradix.numtheory._trial_divide", td_spy)
+    monkeypatch.setattr(palindrome, "_palindromic_bases", kernel_spy)
+    monkeypatch.setattr(palindrome, "divisors", divisors_spy)
+    for n_exp in range(1, 201):
+        min_pal_base(1 << n_exp)
+    assert max(counts) == 1
+    assert len(tries) > sum(counts) + 100
+
+
+def test_divisor_path_off_in_four_digit_band(divisor_runs, sieve_calls, short_div_runs):
     # the run of leading digit 1 where 2**66 + 1 has 4 digits is about
     # 840k bases long, long enough to split n - 1 as a 3-digit run would,
-    # yet never takes divisors(n - c): that path is for 3-digit runs only.
-    # The band has an even digit count, so it takes divisors(n) instead.
+    # yet never takes divisors(n - c) nor sieves: that path is for 3-digit
+    # runs only.  The band has an even digit count, so it takes divisors(n)
+    # instead.
     b = 1 << 22
     n = b**3 + 1  # (1, 0, 0, 1)_b, on the run's last base
     lo = iroot(n // 2, 3) + 1
-    assert takes_divisor_path(n, 1, lo, b)
+    assert palindrome._divisors_within(n - 1, b - lo) is not None
     divisor_runs.clear()
     hits = list(_palindromic_bases(n, lo, b, 4))
     assert (hits[-1].base, hits[-1].digits) == (b, (1, 0, 0, 1))
-    assert divisor_runs == [n]
+    assert divisor_runs == [n] and sieve_calls == []
 
 
 def test_pow2_scans_frozen(divisor_runs):
