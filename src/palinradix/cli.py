@@ -5,7 +5,8 @@ base range for 2**n), table (regenerate a reference table), conjectures
 (evidence sweep).  Exit codes: 0 success, 2 usage error, 3 verified claim
 violation or golden mismatch.  All output is deterministic for fixed
 arguments, whatever --jobs is; --jobs must be >= 1 and is capped at the
-CPU count.
+number of CPUs this process may run on (its CPU affinity set where the OS
+has one, else the CPU count).
 """
 
 from __future__ import annotations
@@ -88,7 +89,11 @@ def _records_json(records: tuple[PalindromeRecord, ...]) -> str:
 
 
 def _capped_jobs(jobs: int) -> int:
-    """--jobs capped at the CPU count: more workers than CPUs only add start-up."""
+    """--jobs capped at the CPUs this process may run on: its affinity set
+    where the OS has one, else the CPU count.  More workers than CPUs only
+    add start-up."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(jobs, len(os.sched_getaffinity(0)))
     return min(jobs, os.cpu_count() or 1)
 
 
@@ -272,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-digits", type=int, default=2)
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes (>= 1, capped at the CPU count)")
+                   help="worker processes (>= 1, capped at the CPUs this "
+                   "process may run on)")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("table", help="regenerate a reference table")
@@ -285,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conjectures", help="evidence sweep for the open questions")
     p.add_argument("--max-n", type=int, default=64)
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes (>= 1, capped at the CPU count)")
+                   help="worker processes (>= 1, capped at the CPUs this "
+                   "process may run on)")
     p.set_defaults(func=cmd_conjectures)
 
     return parser

@@ -13,15 +13,19 @@ they need at once.  Where n has an even number of digits, a palindrome
 forces (b + 1) | n, so from base 1024 on such a band's candidates come
 from divisors(n); for 2**n they are the bases 2**x - 1 alone, and in the
 2-digit band, past isqrt(n), they are the (c,c)_b with c * (b + 1) = n.
-Every candidate ends in one confirm step, _confirmed, which extracts its
-digits once and builds the hit's Representation; min_pal_base passes the
-3-digit bases to it one by one.  Base-range scans are embarrassingly
-parallel: a range is split into contiguous chunks, each chunk is scanned
-independently, with a sieve of its own, and the chunk results are
-concatenated in order, so the merged report is identical for any job
-count.  The environment variable PALINRADIX_MAX_BASE, when set, caps the
-ranges of enumerate_palindromes and the scanned part of
-pow2_complete_scan; a capped scan is reported as non-exhaustive.
+Where n has four or more digits and is below 2**1000, the bases of short
+runs from base 1024 on are filtered in floats first, within a proved bound
+on the rounding error (_float_candidates), and only the few that pass take
+the exact leading-digit test.  Every candidate ends in one confirm step,
+_confirmed, which extracts its digits once and builds the hit's
+Representation; min_pal_base passes the 3-digit bases to it one by one.
+Base-range scans are embarrassingly parallel: a range is split into
+contiguous chunks, each chunk is scanned independently, with a sieve of
+its own, and the chunk results are concatenated in order, so the merged
+report is identical for any job count.  The environment variable
+PALINRADIX_MAX_BASE, when set, caps the ranges of enumerate_palindromes
+and the scanned part of pow2_complete_scan; a capped scan is reported as
+non-exhaustive.
 min_pal_base, the 2-digit part of pow2_complete_scan and the closed-form
 families ignore it.
 """
@@ -158,6 +162,42 @@ _COFACTOR_RUN_MIN = 1024
 # divisors(n) only from here on: below it bands hold a few bases, which cost
 # less to scan than an integer root and a divisor filter.
 _BLOCK_MIN = 1024
+# Where n has four or more digits (p >= _FLOAT_P_MIN) and n < _FLOAT_LIMIT,
+# a block's bases are first filtered in floats (_float_candidates), and only
+# its survivors take the exact test n % x == n // x**p, whose bigint power
+# costs more the more digits n has.  Per base, on one pinned core, min of
+# 30 rounds over blocks of up to 4000 bases of 2**k: 250-265 ns exact
+# against 200-220 ns in floats at p = 3 on 2**40 and 2**44, 305 against
+# 210 on 2**60, 500-510 against 230-240 at p = 10 on 2**186, 700-820
+# against 285-300 at p = 18 on 2**450, and 1435-1530 against 415-440 at
+# p = 40 on 2**999, next to the gate.  At p = 2 the 120 blocks of the
+# complete scans of 2**38..2**43 (177k bases) took 211-216 ns a base
+# either way, so the 3-digit band stays exact.
+#
+# Why no hit is dropped.  Let t = n / x**p and r = n % x.  A palindrome
+# needs r = c = floor(t), so 0 <= t - r < 1.  The filter computes
+# f = fl(fl(nf * fl(x)**-p) - fl(r)), and keeps x when -s < f < 1 + s.  In
+# the standard model of rounded arithmetic (N. J. Higham, Accuracy and
+# Stability of Numerical Algorithms, 2nd ed., 2002, section 2.2), with
+# u = 2**-53 each of these is off by a factor (1 + d), |d| <= u:
+#   - nf = float(n), rounded once per call (int to float rounds correctly);
+#   - fl(x) = float(x), exact below 2**53, so fl(x)**-p = x**-p (1 + d)**-p;
+#   - libm pow, which int ** negative int calls on the two floats: allowed
+#     k = 4 ulps, a factor within 2k u of 1 (not assumed correctly rounded);
+#   - the product.
+# So fl(nf * fl(x)**-p) = t (1 + h) with |h| <= g(m) = m u / (1 - m u),
+# m = p + 2 + 2k (Higham, Lemmas 3.1 and 3.3), and since t < x <= e, the
+# block's last base (n < x**(p + 1)), it is within e g(m) of t.  fl(r) is within u r < u e of r
+# (exact below 2**53).  On a hit |t - r| < 1, so the subtraction adds at
+# most u (1 + e (g(m) + u)).  In all, |f - (t - r)| <= e (g(m) + u)(1 + u)
+# + u, which is below s = e (p + 12) u + 2**-40, since x >= _BLOCK_MIN
+# and x**p <= n < 2**1000 give p < 100, so m u < 2**-46.  n < _FLOAT_LIMIT
+# = 2**1000 keeps nf finite (float(2**1024) raises OverflowError), and
+# x**p <= n keeps x**-p above 2**-1000, a normal float, so the model holds;
+# from 2**1000 on every block stays exact.  A base that survives costs one
+# exact test; about (2 s + 1) / x of a block's bases survive.
+_FLOAT_P_MIN = 3
+_FLOAT_LIMIT = 1 << 1000
 
 
 def _divisors_within(
@@ -185,6 +225,16 @@ def _sieved(n: int, b: int, hi: int, c: int) -> tuple[int, list | None]:
     c_lo = max(c - _SIEVE_SPAN + 1, n // last**2)
     bound = min(_SIEVE_MAX, (min(last, math.isqrt(n // c_lo)) - b) // _SIEVE_EACH)
     return c_lo, shifted_splits(n, c_lo, c, bound) if bound >= _SIEVE_MIN else None
+
+
+def _float_candidates(n: int, nf: float, b: int, e: int, p: int) -> list[int]:
+    """The bases x in b..e, all giving n p + 1 digits, whose leading digit
+    n // x**p may equal n % x: those where nf * x**-p - n % x lies within
+    the slack s of [0, 1), for nf = float(n).  The cost block above proves
+    that s covers every rounding, so this only filters."""
+    s = e * (p + 12) * 2.0**-53 + 2.0**-40
+    lo, hi, q = -s, 1 + s, -p
+    return [x for x in range(b, e + 1) if lo < nf * x**q - n % x < hi]
 
 
 def _confirmed(n: int, bases) -> Iterator[Representation]:
@@ -220,8 +270,13 @@ def _palindromic_bases(
     its leading digit c = n // b**p, and c is constant over runs of
     consecutive bases: on a long run, whose last base is an exact integer
     root, a base is a candidate only if b divides n - c; elsewhere n % b is
-    compared with each base's leading digit.  Two divisor laws take whole
-    runs and bands at once, through one step: where n has 3 digits, the
+    compared with each base's leading digit, from _BLOCK_MIN on in blocks
+    of about b/16 bases.  Where n has four or more digits (p >= 3) and is
+    below _FLOAT_LIMIT, a block first keeps only the bases whose float
+    estimate of n / b**p lies within a proved slack of [n % b, n % b + 1)
+    (_float_candidates), and the exact test n % b == n // b**p runs on
+    those alone.  Two divisor laws take whole runs and bands at once,
+    through one step: where n has 3 digits, the
     candidates of a run are the divisors of n - c in it; where n has an
     even number p + 1 of digits, a palindrome forces (b + 1) | n, so from
     _BLOCK_MIN on the band b..end = iroot(n, p) takes its candidates d - 1
@@ -255,6 +310,7 @@ def _palindromic_bases(
     if p < min_digits - 1:
         return
     b, run_min = lo, _RUN_MIN * p
+    nf = float(n) if n < _FLOAT_LIMIT else None  # for _float_candidates
     divs = None  # divisors(n), once an even band has paid for it
     n_split = None  # n's small factors and cofactor, for every try of divisors(n)
     sieved_from, splits = n, None  # splits of n - c for c >= sieved_from
@@ -279,9 +335,12 @@ def _palindromic_bases(
                     yield from _confirmed(n, (b,))
                 b += 1
             else:
-                yield from _confirmed(
-                    n, [x for x in range(b, e + 1) if n % x == n // x**p]
+                xs = (
+                    _float_candidates(n, nf, b, e, p)
+                    if nf and p >= _FLOAT_P_MIN
+                    else range(b, e + 1)
                 )
+                yield from _confirmed(n, [x for x in xs if n % x == n // x**p])
                 b = e + 1
         elif c:  # a long run
             end = min(hi, iroot(n // c, p))  # the run's last base

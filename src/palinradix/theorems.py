@@ -151,6 +151,50 @@ def _pow2_minbase(n: int) -> tuple[int, int, tuple[int, ...]]:
     return n, b, rep.digits
 
 
+def _minbase_reports(
+    minbase: dict[int, tuple[int, Representation]]
+) -> list[ConjectureReport]:
+    """Conjectures (a), (b) and (c) of check_conjectures, from b(2**n) and
+    its representation for the consecutive exponents n of minbase: (c) is
+    tested at every a >= 2 with a*a among them."""
+    n_lo, n_hi = min(minbase), max(minbase)
+    a_lo, a_hi = max(2, math.isqrt(n_lo - 1) + 1), math.isqrt(n_hi)
+
+    def report(conjecture_id: str, range_tested: str, bad: tuple) -> ConjectureReport:
+        verdict = ConjectureVerdict.COUNTEREXAMPLE if bad else ConjectureVerdict.HOLDS
+        return ConjectureReport(conjecture_id, range_tested, verdict, bad)
+
+    return [
+        report(
+            "a",
+            f"n = {n_lo}..{n_hi}",
+            tuple(
+                {"n": n, "base": b, "digits": rep.digits}
+                for n, (b, rep) in minbase.items()
+                if (b + 1) & b != 0
+            ),
+        ),
+        report(
+            "b",
+            f"n = {n_lo}..{n_hi}",
+            tuple(
+                {"n": n, "base": b, "digits": rep.digits}
+                for n, (b, rep) in minbase.items()
+                if classify_binomial(rep) is None
+            ),
+        ),
+        report(
+            "c",
+            f"a = {a_lo}..{a_hi}",
+            tuple(
+                {"a": a, "base": minbase[a * a][0], "expected": (1 << a) - 1}
+                for a in range(a_lo, a_hi + 1)
+                if minbase[a * a][0] != (1 << a) - 1
+            ),
+        ),
+    ]
+
+
 def check_conjectures(
     n_max: int, extra_base_budget: int = 31, jobs: int = 1
 ) -> list[ConjectureReport]:
@@ -172,50 +216,7 @@ def check_conjectures(
         sweep = [_pow2_minbase(n) for n in exponents]
     minbase = {n: (b, Representation(b, digits)) for n, b, digits in sweep}
 
-    reports = []
-
-    bad = tuple(
-        {"n": n, "base": b, "digits": rep.digits}
-        for n, (b, rep) in minbase.items()
-        if (b + 1) & b != 0
-    )
-    reports.append(
-        ConjectureReport(
-            "a",
-            f"n = 1..{n_max}",
-            ConjectureVerdict.COUNTEREXAMPLE if bad else ConjectureVerdict.HOLDS,
-            bad,
-        )
-    )
-
-    bad = tuple(
-        {"n": n, "base": b, "digits": rep.digits}
-        for n, (b, rep) in minbase.items()
-        if classify_binomial(rep) is None
-    )
-    reports.append(
-        ConjectureReport(
-            "b",
-            f"n = 1..{n_max}",
-            ConjectureVerdict.COUNTEREXAMPLE if bad else ConjectureVerdict.HOLDS,
-            bad,
-        )
-    )
-
-    a_max = math.isqrt(n_max)
-    bad = tuple(
-        {"a": a, "base": minbase[a * a][0], "expected": (1 << a) - 1}
-        for a in range(2, a_max + 1)
-        if minbase[a * a][0] != (1 << a) - 1
-    )
-    reports.append(
-        ConjectureReport(
-            "c",
-            f"a = 2..{a_max}",
-            ConjectureVerdict.COUNTEREXAMPLE if bad else ConjectureVerdict.HOLDS,
-            bad,
-        )
-    )
+    reports = _minbase_reports(minbase)
 
     census = tuple(
         {

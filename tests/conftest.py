@@ -38,11 +38,14 @@ class RecordingPool:
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """The worker counts of every Pool started, with os.cpu_count() = 3."""
+    """The worker counts of every Pool started, on a machine of 3 CPUs
+    (os.cpu_count()) that this process may all run on (os.sched_getaffinity,
+    set where the OS has it)."""
     sizes = []
     for module in ("palinradix.palindrome", "palinradix.theorems"):
         monkeypatch.setattr(
             f"{module}.Pool", lambda processes: RecordingPool(sizes, processes)
         )
     monkeypatch.setattr("os.cpu_count", lambda: 3)
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     return sizes

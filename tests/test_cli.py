@@ -292,10 +292,33 @@ class TestJobs:
         assert capped == serial
 
     def test_unknown_cpu_count_runs_serially(self, capsys, pool_sizes, monkeypatch):
+        # an OS with no affinity call and no CPU count
+        monkeypatch.delattr("os.sched_getaffinity", raising=False)
         monkeypatch.setattr("os.cpu_count", lambda: None)
         code, _, _ = run(capsys, "scan", "--pow2", "16", "--jobs", "8")
         assert code == 0
         assert pool_sizes == []
+
+    @pytest.mark.parametrize("command", ["scan --pow2 16", "conjectures --max-n 8"])
+    def test_capped_at_affinity(self, capsys, pool_sizes, monkeypatch, command):
+        # as under `taskset -c 0,1` on 3 CPUs: two workers, and under
+        # `taskset -c 0` none, whatever os.cpu_count() says
+        argv = command.split()
+        _, serial, _ = run(capsys, *argv)
+        for cpus, started in (({0, 1}, [2]), ({0}, [])):
+            monkeypatch.setattr("os.sched_getaffinity", lambda pid: cpus, raising=False)
+            pool_sizes.clear()
+            code, capped, _ = run(capsys, *argv, "--jobs", "3")
+            assert code == 0
+            assert pool_sizes == started
+            assert capped == serial
+
+    def test_cpu_count_without_affinity(self, capsys, pool_sizes, monkeypatch):
+        # an OS with no affinity call falls back to the CPU count, 3
+        monkeypatch.delattr("os.sched_getaffinity", raising=False)
+        code, _, _ = run(capsys, "scan", "--pow2", "16", "--jobs", "8")
+        assert code == 0
+        assert pool_sizes == [3]
 
 
 class TestParser:

@@ -14,6 +14,8 @@ from typing import NamedTuple
 import pytest
 
 from palinradix import palindrome
+from palinradix.binomial import classify_binomial
+from palinradix.radix import Representation, from_digits, is_palindrome, to_digits
 from palinradix.tables import render_csv
 from palinradix.numtheory import (
     _MR_LIMIT,
@@ -27,6 +29,8 @@ from palinradix.numtheory import (
 from palinradix.palindrome import (
     _BLOCK_MIN,
     _RUN_MIN,
+    _confirmed,
+    _float_candidates,
     _palindromic_bases,
     enumerate_palindromes,
     min_pal_base,
@@ -148,6 +152,120 @@ def test_short_run_block_at_band_edge():
         assert got == oracle(n, lo, b + 2, 3), b
 
 
+# -- the float filter: short-run blocks where n has four or more digits ------
+
+FLOAT_GATE = 1 << 1000  # the filter runs only on n below this
+
+
+@pytest.fixture
+def float_blocks(monkeypatch):
+    """(b, e, p) of every block the kernel filtered in floats, in call order."""
+    calls = []
+
+    def spy(n, nf, b, e, p):
+        calls.append((b, e, p))
+        return _float_candidates(n, nf, b, e, p)
+
+    monkeypatch.setattr("palinradix.palindrome._float_candidates", spy)
+    return calls
+
+
+def exact_block(n, lo, hi, p):
+    """The kernel's exact short-run test over lo..hi, confirmed."""
+    bases = [x for x in range(lo, hi + 1) if n % x == n // x**p]
+    return [(r.base, r.digits) for r in _confirmed(n, bases)]
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        (1 << 20) - 5,
+        (1 << 20) + 3,
+        (1 << 40) - 3,
+        (1 << 40) + 1,
+        # float(x) is first inexact here, and p reaches 17 below the gate:
+        # the rounding of x, taken to the p-th power, is most of the error
+        (1 << 53) + 1,
+        (1 << 53) + 3,
+        # float(x) rounds down by 2**9 - 1, up by 2**9 - 1, and is exact
+        (1 << 62) + (1 << 9) - 1,
+        (1 << 62) + (1 << 9) + 1,
+        (1 << 62) - 1024,
+    ],
+)
+def test_float_filter_edge_palindromes(x, float_blocks):
+    # (c, 0, ..., 0, c)_x has n / x**p just above c, (c, x-1, ..., x-1, c)_x
+    # just below c + 1: the two bounds of the filter's window; c = x - 1 puts
+    # n / x**p, and so the rounding error, at its largest
+    for p in range(3, 31):
+        for c in (x - 1, x // 2 + 1, x // (8 * p) + 1):
+            for inner in (0, x - 1):
+                digits = (c,) + (inner,) * (p - 1) + (c,)
+                n = c * (x**p + 1) + inner * (x**p - x) // (x - 1)
+                float_blocks.clear()
+                got = scan(n, x, x + 16, 3)
+                assert (x, digits) in got, (p, c, inner)
+                assert got == oracle(n, x, x + 16, 3), (p, c, inner)
+                assert float_blocks == ([(x, x + 16, p)] if n < FLOAT_GATE else [])
+
+
+def test_float_filter_gate(float_blocks):
+    # (c, 0, ..., 0, c)_x with p = 49 on both sides of 2**1000, and p = 2
+    x, p = (1 << 20) + 1, 49
+    c_hi = -(-FLOAT_GATE // (x**p + 1))
+    for c in (c_hi - 1, c_hi):
+        n = c * (x**p + 1)
+        float_blocks.clear()
+        got = scan(n, x, x + 40, 3)
+        assert (x, (c,) + (0,) * (p - 1) + (c,)) in got
+        assert got == oracle(n, x, x + 40, 3)
+        assert float_blocks == ([(x, x + 40, p)] if c < c_hi else [])
+    assert (c_hi - 1) * (x**p + 1) < FLOAT_GATE <= c_hi * (x**p + 1)
+    # n has three digits from iroot(n, 3) + 1 on, four below: only the
+    # four-digit blocks are filtered in floats
+    n = 1 << 43
+    cube = iroot(n, 3)
+    float_blocks.clear()
+    assert scan(n, cube + 1, cube + 3000, 3) == oracle(n, cube + 1, cube + 3000, 3)
+    assert float_blocks == []
+    assert cube + 1 < _RUN_MIN * 2 * (n // (cube + 1) ** 2)  # short runs
+    assert scan(n, 4096, 4600, 3) == oracle(n, 4096, 4600, 3)
+    assert float_blocks and {p for _, _, p in float_blocks} == {3}
+
+
+def test_float_filter_random_windows(rng, float_blocks):
+    # random n below the gate and windows of short runs, against the exact
+    # test the filter sits in front of; half the n are planted palindromes
+    # with random digits on a random base of the window
+    blocks = 0
+    for _ in range(300):
+        p = rng.randint(3, 40)
+        x = rng.randint(_BLOCK_MIN, 1 << min(62, 999 // (p + 1)))
+        c = rng.randint(x // (8 * p) + 1, x - 1)
+        if rng.random() < 0.5:
+            inner = [rng.randint(0, x - 1) for _ in range((p - 1) // 2)]
+            mid = [rng.randint(0, x - 1)] if p % 2 == 0 else []
+            digits = [c] + inner + mid + inner[::-1] + [c]
+            n = sum(d * x**i for i, d in enumerate(digits))
+        else:
+            n = c * x**p + rng.randint(0, x**p - 1)
+        # every base of the window gives n p + 1 digits
+        lo = max(_BLOCK_MIN, x - rng.randint(0, 300), iroot(n, p + 1) + 1)
+        hi = min(lo + rng.randint(0, 600), iroot(n, p))
+        assert n < FLOAT_GATE and lo <= hi
+        float_blocks.clear()
+        got = scan(n, lo, hi, p + 1)
+        assert got == exact_block(n, lo, hi, p), (n, lo, hi)
+        blocks += bool(float_blocks)
+        nf = float(n)
+        for b, e, q in float_blocks:
+            assert q == p
+            assert set(_float_candidates(n, nf, b, e, p)) >= {
+                x for x in range(b, e + 1) if n % x == n // x**p
+            }
+    assert blocks > 250
+
+
 def test_single_digit_band():
     # bases above n read it as one digit: hits only when min_digits is 1
     assert scan(10, 9, 14, 1) == [(9, (1, 1))] + [(b, (10,)) for b in range(11, 15)]
@@ -232,6 +350,32 @@ def test_min_pal_base_pow2_frozen():
     for r in rows:
         b, rep = min_pal_base(1 << int(r["n"]))
         assert (b, rep.digits) == (int(r["b"]), tuple(map(int, r["digits"].split()))), r
+
+
+def test_min_pal_base_pow2_extension():
+    # b(2**n) for n = 201..300, kernel output written by
+    # scripts/pow2_minbase_sweep.py: each row reads 2**n as a palindrome of
+    # binomial form in a base 2**x - 1, and no base 2**y - 1 with y < x
+    # reads 2**n palindromically; the rest of the minimality is the
+    # kernel's, so two rows are derived again
+    with open(DATA_DIR / "pow2_minbase_ext.csv", encoding="utf-8", newline="") as fh:
+        label, *lines = fh
+    assert label.startswith("#") and "kernel output" in label
+    rows = {
+        int(r["n"]): (int(r["b"]), tuple(map(int, r["digits"].split())))
+        for r in csv.DictReader(lines)
+    }
+    assert list(rows) == list(range(201, 301))
+    for n, (b, digits) in rows.items():
+        rep = Representation(b, digits)
+        assert from_digits(rep) == 1 << n and is_palindrome(rep), n
+        assert classify_binomial(rep) is not None, n
+        assert (b + 1) & b == 0, n
+        x = b.bit_length()
+        assert not any(is_palindrome(to_digits(1 << n, (1 << y) - 1)) for y in range(2, x))
+    for n in (256, 289):
+        b, rep = min_pal_base(1 << n)
+        assert (b, rep.digits) == rows[n]
 
 
 # -- the divisor path: long 3-digit runs from divisors(n - c) ----------------

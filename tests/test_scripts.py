@@ -41,6 +41,56 @@ class TestScanClaimJobs:
         assert capped.split("[")[0] == serial.split("[")[0]
 
 
+@pytest.fixture(scope="module")
+def sweep():
+    return load("pow2_minbase_sweep")
+
+
+class TestPow2MinbaseSweep:
+    def test_resumes_from_a_partial_checkpoint(self, tmp_path, capsys, sweep):
+        # rows 1..6 of the frozen list and a seventh cut short mid-line, as an
+        # interrupted run leaves them; the sweep drops the cut line and
+        # continues to n = 12 with the rows of the frozen list
+        frozen = (DATA / "pow2_minbase.csv").read_text().splitlines(keepends=True)
+        path = tmp_path / "ckpt.csv"
+        path.write_text("".join(frozen[:7]) + frozen[7][:5])
+        assert sweep.main([str(path), "--max-n", "12"]) == 0
+        assert path.read_text() == "".join(frozen[:13])
+        out = capsys.readouterr().out
+        assert "n=   6" not in out and "n=   7" in out and "n=  12" in out
+        assert "(a) n = 1..12: holds" in out
+        assert "(c) a = 2..3: holds" in out
+
+    def test_writes_the_extension(self, tmp_path, capsys, sweep):
+        # a new checkpoint from n = 201, then resumed: the committed rows
+        frozen = (DATA / "pow2_minbase_ext.csv").read_text().splitlines(keepends=True)
+        path = tmp_path / "ext.csv"
+        assert sweep.main([str(path), "--min-n", "201", "--max-n", "203"]) == 0
+        assert path.read_text() == "".join(frozen[:5])
+        assert sweep.main([str(path), "--min-n", "1", "--max-n", "205"]) == 0
+        assert path.read_text() == "".join(frozen[:7])
+        assert "(a) n = 201..205: holds" in capsys.readouterr().out
+
+    def test_counterexample_exits_3(self, tmp_path, capsys, sweep):
+        path = tmp_path / "ckpt.csv"
+        path.write_text("n,b,digits\n1,3,2\n2,5,1 2 1\n")
+        assert sweep.main([str(path), "--max-n", "2"]) == 3
+        out = capsys.readouterr().out
+        assert "(a) n = 1..2: counterexample" in out
+        assert "'base': 5" in out
+
+    @pytest.mark.parametrize(
+        "text", ["n,b,digits\n1,3,2\n3,3,2 2\n", "n,base,digits\n1,3,2\n"]
+    )
+    def test_bad_checkpoint_is_usage_error(self, tmp_path, capsys, sweep, text):
+        path = tmp_path / "ckpt.csv"
+        path.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            sweep.main([str(path), "--max-n", "4"])
+        assert exc.value.code == 2
+        assert path.read_text() == text
+
+
 def test_reproduce_tables_match(capsys):
     # all five tables render and match their frozen snapshots
     assert load("reproduce_tables").main(["--format", "csv"]) == 0
