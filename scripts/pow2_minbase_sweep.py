@@ -3,7 +3,7 @@
 as a palindrome, and re-derive conjectures (a)-(c) on every row it holds.
 
     python3 scripts/pow2_minbase_sweep.py tests/data/pow2_minbase_ext.csv \\
-        --min-n 201 --max-n 300
+        --min-n 201 --max-n 400
 
 The checkpoint has the columns n,b,digits of tests/data/pow2_minbase.csv,
 the digits most significant first and space-separated, one row per n in
@@ -17,8 +17,9 @@ Each row is flushed as soon as it is computed.
 The conjectures, as in `palinradix conjectures`: (a) b(2**n) = 2**x - 1,
 (b) the representation has binomial form, (c) b(2**(a*a)) = 2**a - 1 for
 every a >= 2 with a*a among the rows.  Exit status 0 when all three hold,
-3 on a counterexample, 2 on a usage error.  From n = 201 on each n takes
-up to about half a second; n = 201..300 takes about 7 s in all.
+3 on a counterexample, 2 on a usage error.  On one core (CPython 3.11,
+x86-64), n = 201..300 takes 3-5 s in all, up to a quarter of a second an
+n, and n = 301..400 takes 32-40 s, up to about 2 s an n.
 """
 
 import argparse

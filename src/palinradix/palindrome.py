@@ -13,12 +13,17 @@ they need at once.  Where n has an even number of digits, a palindrome
 forces (b + 1) | n, so from base 1024 on such a band's candidates come
 from divisors(n); for 2**n they are the bases 2**x - 1 alone, and in the
 2-digit band, past isqrt(n), they are the (c,c)_b with c * (b + 1) = n.
-Where n has four or more digits and is below 2**1000, the bases of short
-runs from base 1024 on are filtered in floats first, within a proved bound
-on the rounding error (_float_candidates), and only the few that pass take
-the exact leading-digit test.  Every candidate ends in one confirm step,
-_confirmed, which extracts its digits once and builds the hit's
-Representation; min_pal_base passes the 3-digit bases to it one by one.
+From base 256 on, the bases of bands of four or more digits, and those
+of the 3- and 2-digit bands' runs too short for the sieve, are tested in
+blocks through one integer window (_windowed): within a digit-count band
+the leading digit n // b**p does not increase with b, so a block's
+palindromic bases have n % b between the leading digits of its last and
+first base, and only the few bases inside that window take the exact
+leading-digit test.  The longer runs of the 3- and 2-digit bands that no
+divisor law takes are filtered by one modulo a base, b | (n - c).  Every
+candidate ends in one confirm step, _confirmed, which extracts its digits
+once and builds the hit's Representation; min_pal_base passes the
+3-digit bases to it one by one.
 Base-range scans are embarrassingly parallel: a range is split into
 contiguous chunks, each chunk is scanned independently, with a sieve of
 its own, and the chunk results are concatenated in order, so the merged
@@ -106,13 +111,9 @@ def _scan_cap() -> int | None:
     return cap
 
 
-# A run of bases sharing the leading digit c is about b / (p*c) bases long
-# where n has p + 1 digits.  Runs at least this long are filtered by one
-# modulo per base, b | (n - c), after an integer root finds where the run
-# ends; on shorter runs n % b is compared with each base's leading digit.
-_RUN_MIN = 16
 # Long runs are filtered, and their hits yielded, this many bases at a time,
-# so a search that stops at its first hit tests at most this many past it.
+# and no window block is longer, so a search that stops at its first hit
+# tests fewer than this many bases past it.
 _SLICE = 1024
 # Costs count in bases of the modulo filter, 55-85 ns each on n of 16-60
 # bits and about 180 ns at 64 bits (CPython 3.11, x86-64).  A run or band
@@ -156,48 +157,37 @@ _SIEVE_MAX = 1 << 16
 # of 512 to 2048 timed alike over 2**38..2**43, and 1024 to 4096 at 2**50
 # and 2**56.
 _COFACTOR_RUN_MIN = 1024
-# From this base on, short runs are tested b/16 bases at a time by one list
-# comprehension; below it, one base at a time, which costs less per call on
-# the small n whose searches end there.  Even-digit bands are taken from
-# divisors(n) only from here on: below it bands hold a few bases, which cost
-# less to scan than an integer root and a divisor filter.
-_BLOCK_MIN = 1024
-# Where n has four or more digits (p >= _FLOAT_P_MIN) and n < _FLOAT_LIMIT,
-# a block's bases are first filtered in floats (_float_candidates), and only
-# its survivors take the exact test n % x == n // x**p, whose bigint power
-# costs more the more digits n has.  Per base, on one pinned core, min of
-# 30 rounds over blocks of up to 4000 bases of 2**k: 250-265 ns exact
-# against 200-220 ns in floats at p = 3 on 2**40 and 2**44, 305 against
-# 210 on 2**60, 500-510 against 230-240 at p = 10 on 2**186, 700-820
-# against 285-300 at p = 18 on 2**450, and 1435-1530 against 415-440 at
-# p = 40 on 2**999, next to the gate.  At p = 2 the 120 blocks of the
-# complete scans of 2**38..2**43 (177k bases) took 211-216 ns a base
-# either way, so the 3-digit band stays exact.
-#
-# Why no hit is dropped.  Let t = n / x**p and r = n % x.  A palindrome
-# needs r = c = floor(t), so 0 <= t - r < 1.  The filter computes
-# f = fl(fl(nf * fl(x)**-p) - fl(r)), and keeps x when -s < f < 1 + s.  In
-# the standard model of rounded arithmetic (N. J. Higham, Accuracy and
-# Stability of Numerical Algorithms, 2nd ed., 2002, section 2.2), with
-# u = 2**-53 each of these is off by a factor (1 + d), |d| <= u:
-#   - nf = float(n), rounded once per call (int to float rounds correctly);
-#   - fl(x) = float(x), exact below 2**53, so fl(x)**-p = x**-p (1 + d)**-p;
-#   - libm pow, which int ** negative int calls on the two floats: allowed
-#     k = 4 ulps, a factor within 2k u of 1 (not assumed correctly rounded);
-#   - the product.
-# So fl(nf * fl(x)**-p) = t (1 + h) with |h| <= g(m) = m u / (1 - m u),
-# m = p + 2 + 2k (Higham, Lemmas 3.1 and 3.3), and since t < x <= e, the
-# block's last base (n < x**(p + 1)), it is within e g(m) of t.  fl(r) is within u r < u e of r
-# (exact below 2**53).  On a hit |t - r| < 1, so the subtraction adds at
-# most u (1 + e (g(m) + u)).  In all, |f - (t - r)| <= e (g(m) + u)(1 + u)
-# + u, which is below s = e (p + 12) u + 2**-40, since x >= _BLOCK_MIN
-# and x**p <= n < 2**1000 give p < 100, so m u < 2**-46.  n < _FLOAT_LIMIT
-# = 2**1000 keeps nf finite (float(2**1024) raises OverflowError), and
-# x**p <= n keeps x**-p above 2**-1000, a normal float, so the model holds;
-# from 2**1000 on every block stays exact.  A base that survives costs one
-# exact test; about (2 s + 1) / x of a block's bases survive.
-_FLOAT_P_MIN = 3
-_FLOAT_LIMIT = 1 << 1000
+# Even-digit bands are taken from divisors(n) only from this base on: below
+# it bands hold a few bases, which cost less to scan than an integer root
+# and a divisor filter.
+_EVEN_BAND_MIN = 1024
+# From _WINDOW_MIN on, the bases of a band of four or more digits, and those
+# of the 3- and 2-digit bands until their runs reach _SIEVE_RUN_MIN bases,
+# are tested in blocks through one integer window (_windowed).  A block
+# b..e lies inside one digit-count band, e <= iroot(n, p), where the
+# leading digit c(x) = n // x**p does not increase as x grows; a
+# palindrome needs n % x = c(x), so every palindromic base of the block
+# has c(e) <= n % x <= c(b).  Only the bases inside that window take the
+# exact test n % x == n // x**p, whose bigint power costs more the more
+# digits n has.  The window holds about p * c * w / b + 1 of the b values
+# n % x may take on a block of w bases, so a block of w = b*b / (64 p c)
+# bases keeps about 1/64 + 1/b of them.  A block is at least 64 bases, and
+# at most _SLICE, so that a search that stops at its first hit tests few
+# bases past it.
+# Per base, min of 25 rounds over 4000 bases of 2**k on one pinned core
+# (CPython 3.11, x86-64, whose speed moved by up to 1.6x between rounds):
+# 69-112 ns at p = 2 on 2**43, where the exact test alone took 119-184 in
+# the same rounds; 130-163 at p = 10 on 2**186, where a float filter took
+# 150-249; and 362-366 at p = 44 on 2**1100, where the exact test took
+# 1450-1550.  Over b(2**n), n = 1..200, in 12 alternating rounds, floors of
+# 64 and 1024 took 4% and 12% longer than one of 256; a minimum block of
+# 1 base instead of 64 took 30% longer (0.300-0.411 against 0.226-0.287 s
+# a round, 8 rounds), and a further cap of b / 16 bases timed the same
+# there (0.340-0.397 against 0.325-0.443 s, 12 rounds) and on the
+# complete scans of 2**38..2**43 (0.071-0.122 s both).
+# Below _WINDOW_MIN every base takes the exact test alone, which costs less
+# per call on the small n whose searches end there.
+_WINDOW_MIN = 256
 
 
 def _divisors_within(
@@ -227,14 +217,16 @@ def _sieved(n: int, b: int, hi: int, c: int) -> tuple[int, list | None]:
     return c_lo, shifted_splits(n, c_lo, c, bound) if bound >= _SIEVE_MIN else None
 
 
-def _float_candidates(n: int, nf: float, b: int, e: int, p: int) -> list[int]:
-    """The bases x in b..e, all giving n p + 1 digits, whose leading digit
-    n // x**p may equal n % x: those where nf * x**-p - n % x lies within
-    the slack s of [0, 1), for nf = float(n).  The cost block above proves
-    that s covers every rounding, so this only filters."""
-    s = e * (p + 12) * 2.0**-53 + 2.0**-40
-    lo, hi, q = -s, 1 + s, -p
-    return [x for x in range(b, e + 1) if lo < nf * x**q - n % x < hi]
+def _windowed(n: int, b: int, e: int, p: int, c: int) -> list[int]:
+    """The bases x in b..e, all giving n p + 1 digits, where n % x equals
+    the leading digit n // x**p, for c = n // b**p: only those with
+    n // e**p <= n % x <= c, the window, take the exact test.
+
+    >>> _windowed(2**30, 448, 511, 3, 11)  # 8 <= 2**30 % x <= 11
+    [511]
+    """
+    ce = n // e**p
+    return [x for x in range(b, e + 1) if ce <= (r := n % x) <= c and r == n // x**p]
 
 
 def _confirmed(n: int, bases) -> Iterator[Representation]:
@@ -268,25 +260,27 @@ def _palindromic_bases(
     Bases are walked upward while tracking the digit count p + 1 of n in
     base b (b**p <= n < b**(p+1)).  A palindrome's last digit n % b equals
     its leading digit c = n // b**p, and c is constant over runs of
-    consecutive bases: on a long run, whose last base is an exact integer
-    root, a base is a candidate only if b divides n - c; elsewhere n % b is
-    compared with each base's leading digit, from _BLOCK_MIN on in blocks
-    of about b/16 bases.  Where n has four or more digits (p >= 3) and is
-    below _FLOAT_LIMIT, a block first keeps only the bases whose float
-    estimate of n / b**p lies within a proved slack of [n % b, n % b + 1)
-    (_float_candidates), and the exact test n % b == n // b**p runs on
-    those alone.  Two divisor laws take whole runs and bands at once,
-    through one step: where n has 3 digits, the
-    candidates of a run are the divisors of n - c in it; where n has an
-    even number p + 1 of digits, a palindrome forces (b + 1) | n, so from
-    _BLOCK_MIN on the band b..end = iroot(n, p) takes its candidates d - 1
-    from the divisors d of n in [b + 1, end + 1], and the walk resumes one
-    digit lower.  At p = 1 this is the 2-digit law (c,c)_b iff
-    c * (b + 1) = n.  A run or band of L = end - b bases tries that step
-    within a budget (_divisors_within): it is scanned when Brent rho would
-    take more than L / 2 bases' worth of steps, when n has more than
-    L / _DIV_EACH divisors, or when the split leaves a cofactor past the
-    Miller-Rabin bound.  A 3-digit run needs _SIEVE_RUN_MIN bases, and its
+    consecutive bases.  Below _WINDOW_MIN, n % b is compared with each
+    base's leading digit.  From there on a band of four or more digits
+    (p >= 3), and the 3- and 2-digit bands until their runs reach
+    _SIEVE_RUN_MIN bases, are tested in blocks b..e that stay inside the
+    band, e <= iroot(n, p), computed once a band: there c does not grow, so
+    a palindromic base x has c(e) <= n % x <= c(b), and only the bases
+    inside that window take the exact test n % x == n // x**p
+    (_windowed).  On the longer runs of the 3- and 2-digit bands, whose
+    last base is an exact integer root, a base is a candidate only if it
+    divides n - c.  Two divisor laws take whole runs and bands at once,
+    through one step: where n has 3 digits, the candidates of a run are
+    the divisors of n - c in it; where n has an even number p + 1 of
+    digits, a palindrome forces (b + 1) | n, so from _EVEN_BAND_MIN on the
+    band b..end = iroot(n, p) takes its candidates d - 1 from the divisors
+    d of n in [b + 1, end + 1], and the walk resumes one digit lower.  At
+    p = 1 this is the 2-digit law (c,c)_b iff c * (b + 1) = n.  A run or
+    band of L = end - b bases tries that step within a budget
+    (_divisors_within): it is scanned when Brent rho would take more than
+    L / 2 bases' worth of steps, when n has more than L / _DIV_EACH
+    divisors, or when the split leaves a cofactor past the Miller-Rabin
+    bound.  A 3-digit run needs _SIEVE_RUN_MIN bases, and its
     split of n - c comes from a sieve over the leading digits of the runs
     ahead (_sieved), made only where those runs hold enough bases to pay
     for it; a split that leaves a cofactor to test needs
@@ -300,6 +294,14 @@ def _palindromic_bases(
 
     >>> [str(r) for r in _palindromic_bases(2**12, 2, 64, 3)]
     ['(1,4,6,4,1)_7', '(1,3,3,1)_15', '(11,6,11)_19', '(4,8,4)_31', '(1,2,1)_63']
+
+    From base 256 on, 2**30 has four digits, and the block 448..511 keeps
+    the bases x with 8 <= 2**30 % x <= 11, the leading digits of 511 and
+    448: of its 64 bases only 511, which passes the exact test and the
+    confirm step:
+
+    >>> [str(r) for r in _palindromic_bases(2**30, 256, 1023, 4)]
+    ['(8,24,24,8)_511', '(1,3,3,1)_1023']
     """
     # n has p + 1 digits in base lo; a float estimate, made exact below
     p = n.bit_length() - 1 if lo == 2 else int(math.log(n, lo))
@@ -309,17 +311,22 @@ def _palindromic_bases(
         p -= 1
     if p < min_digits - 1:
         return
-    b, run_min = lo, _RUN_MIN * p
-    nf = float(n) if n < _FLOAT_LIMIT else None  # for _float_candidates
+    b, top = lo, 0  # top: iroot(n, p), the band's last base, once needed
     divs = None  # divisors(n), once an even band has paid for it
     n_split = None  # n's small factors and cofactor, for every try of divisors(n)
     sieved_from, splits = n, None  # splits of n - c for c >= sieved_from
     scanned = 0  # an odd p whose band is scanned: its try of divisors(n) failed
     while p and b <= hi:
         c = n // b**p
-        if b >= _BLOCK_MIN and c and p & 1 and p != scanned:
+        if not c:  # b**p > n: from b on, n has one digit fewer
+            p, top = p - 1, 0
+            if p < min_digits - 1:
+                return
+            continue
+        if b >= _EVEN_BAND_MIN and p & 1 and p != scanned:
             # n has p + 1 digits, an even number: (b + 1) | n
-            end = min(hi, iroot(n, p))  # the band's last base
+            top = top or iroot(n, p)
+            end = min(hi, top)
             if divs is None:
                 n_split = n_split or _trial_divide(n)
                 divs = _divisors_within(n, end - b, n_split)
@@ -328,21 +335,17 @@ def _palindromic_bases(
                 b = end + 1
                 continue
             scanned = p
-        if b < run_min * c:  # a short run
-            # a block b..e is tested only where all of it gives n p + 1 digits
-            if b < _BLOCK_MIN or (e := min(hi, b + (b >> 4))) ** p > n:
-                if n % b == c:
-                    yield from _confirmed(n, (b,))
-                b += 1
-            else:
-                xs = (
-                    _float_candidates(n, nf, b, e, p)
-                    if nf and p >= _FLOAT_P_MIN
-                    else range(b, e + 1)
-                )
-                yield from _confirmed(n, [x for x in xs if n % x == n // x**p])
-                b = e + 1
-        elif c:  # a long run
+        if b < _WINDOW_MIN:
+            if n % b == c:
+                yield from _confirmed(n, (b,))
+            b += 1
+        elif p > 2 or b < _SIEVE_RUN_MIN * p * c:  # runs shorter than the sieve's
+            top = top or iroot(n, p)
+            w = max(64, min(_SLICE, b * b // (64 * p * c)))
+            e = min(hi, top, b + w - 1)
+            yield from _confirmed(n, _windowed(n, b, e, p, c))
+            b = e + 1
+        else:  # a long run: n has 2 or 3 digits
             end = min(hi, iroot(n // c, p))  # the run's last base
             m = n - c
             if p == 2 and end - b >= _SIEVE_RUN_MIN:
@@ -361,11 +364,6 @@ def _palindromic_bases(
                 stop = min(end, b + _SLICE - 1)
                 yield from _confirmed(n, [x for x in range(b, stop + 1) if not m % x])
                 b = stop + 1
-        else:  # b**p > n: from b on, n has one digit fewer
-            p -= 1
-            if p < min_digits - 1:
-                return
-            run_min = _RUN_MIN * p
     for x in range(b, hi + 1):  # b > n: every base reads n as one digit
         yield Representation(x, (n,))
 

@@ -27,11 +27,13 @@ from palinradix.numtheory import (
     shifted_splits,
 )
 from palinradix.palindrome import (
-    _BLOCK_MIN,
-    _RUN_MIN,
+    _EVEN_BAND_MIN,
+    _SIEVE_RUN_MIN,
+    _SLICE,
+    _WINDOW_MIN,
     _confirmed,
-    _float_candidates,
     _palindromic_bases,
+    _windowed,
     enumerate_palindromes,
     min_pal_base,
     pow2_complete_scan,
@@ -124,56 +126,83 @@ def test_planted_palindromes(rng):
         assert got == oracle(n, max(2, b - 3), b + 3, 3), (n, b)
 
 
-def test_short_run_blocks(rng):
-    # from _BLOCK_MIN on, short runs are tested in blocks lo..lo + lo//16:
-    # plant a 3-digit palindrome on a block's last base or the next one's first
-    for _ in range(100):
-        lo = rng.randint(_BLOCK_MIN, 5000)
-        b = lo + (lo >> 4) + rng.randint(0, 1)
-        digits = (c := rng.randint(b // 30 + 1, 3 * b // 4), rng.randint(0, b - 1), c)
-        n = sum(d * b**i for i, d in enumerate(digits))
-        assert lo**3 > n and lo < _RUN_MIN * 2 * (n // lo**2)  # a short run
-        got = scan(n, lo, b + 2, 3)
-        assert (b, digits) in got
-        assert got == oracle(n, lo, b + 2, 3), (n, lo)
-
-
-def test_short_run_block_at_band_edge():
-    # with 41 digits and b >= _BLOCK_MIN, a block of short runs would reach
-    # the next digit-count band; plant a palindrome on that band's first base
-    for b in (1100, 1500, 1999):
-        digits = (b - 1,) + (b // 3,) * 39 + (b - 1,)
-        n = sum(d * b**i for i, d in enumerate(digits))
-        lo = b - (b >> 5)
-        assert iroot(n, 41) + 1 == b and lo + (lo >> 4) > b
-        assert lo < _RUN_MIN * 41 * (n // lo**41)  # a short run
-        got = scan(n, lo, b + 2, 3)
-        assert (b, digits) in got
-        assert got == oracle(n, lo, b + 2, 3), b
-
-
-# -- the float filter: short-run blocks where n has four or more digits ------
-
-FLOAT_GATE = 1 << 1000  # the filter runs only on n below this
+# -- the window: blocks of bases filtered by their leading digits ------------
+#
+# test_float_filter_* run edge palindromes, n on both sides of 2**1000 and
+# random windows through the window blocks.
 
 
 @pytest.fixture
-def float_blocks(monkeypatch):
-    """(b, e, p) of every block the kernel filtered in floats, in call order."""
+def window_blocks(monkeypatch):
+    """(b, e, p) of every block the kernel tested through the window, in call
+    order.  The spy checks that each block lies inside one digit-count band
+    and spans fewer than _SLICE bases."""
     calls = []
 
-    def spy(n, nf, b, e, p):
+    def spy(n, b, e, p, c):
+        assert c == n // b**p and e**p <= n < b ** (p + 1), (n, b, e, p)
+        assert b <= e < b + _SLICE, (b, e)
         calls.append((b, e, p))
-        return _float_candidates(n, nf, b, e, p)
+        return _windowed(n, b, e, p, c)
 
-    monkeypatch.setattr("palinradix.palindrome._float_candidates", spy)
+    monkeypatch.setattr("palinradix.palindrome._windowed", spy)
     return calls
 
 
 def exact_block(n, lo, hi, p):
-    """The kernel's exact short-run test over lo..hi, confirmed."""
+    """The exact leading-digit test over lo..hi, confirmed."""
     bases = [x for x in range(lo, hi + 1) if n % x == n // x**p]
     return [(r.base, r.digits) for r in _confirmed(n, bases)]
+
+
+def first_block_end(n, lo):
+    """The last base of the first window block from lo, where n has 3 digits
+    and the block ends inside their band: the kernel's width formula."""
+    return lo + max(64, min(_SLICE, lo * lo // (64 * 2 * (n // lo**2)))) - 1
+
+
+def test_short_run_blocks(rng, window_blocks):
+    # from _WINDOW_MIN on, 3-digit bases of short runs are tested in blocks:
+    # plant a palindrome on b, then start the scan where the first block
+    # ends on b or just before it, so that b is that block's last base or
+    # the next one's first
+    for _ in range(100):
+        while True:
+            b = rng.randint(_WINDOW_MIN + 64, 20_000)
+            digits = (c := rng.randint(b // 30 + 1, 3 * b // 4), rng.randint(0, b - 1), c)
+            n = sum(d * b**i for i, d in enumerate(digits))
+            starts = [
+                lo
+                for lo in range(max(_WINDOW_MIN, b - _SLICE), b)
+                if lo**3 > n and first_block_end(n, lo) in (b - 1, b)
+            ]
+            if starts:
+                break
+        lo = rng.choice(starts)
+        first = first_block_end(n, lo)
+        assert lo < _SIEVE_RUN_MIN * 2 * (n // lo**2)  # short runs
+        window_blocks.clear()
+        got = scan(n, lo, b + 2, 3)
+        assert (b, digits) in got
+        assert got == oracle(n, lo, b + 2, 3), (n, lo)
+        assert window_blocks[0] == (lo, first, 2), (n, lo)
+        assert b in (first, window_blocks[1][0])
+
+
+def test_short_run_block_at_band_edge(window_blocks):
+    # with 41 digits, a block of 64 bases from lo would reach the next
+    # digit-count band: it ends on the band's last base, and the palindrome
+    # planted on the next band's first base is tested with 40 digits
+    for b in (1100, 1500, 1999):
+        digits = (b - 1,) + (b // 3,) * 39 + (b - 1,)
+        n = sum(d * b**i for i, d in enumerate(digits))
+        lo = b - (b >> 5)
+        assert iroot(n, 41) + 1 == b and lo + 64 > b
+        window_blocks.clear()
+        got = scan(n, lo, b + 2, 3)
+        assert (b, digits) in got
+        assert got == oracle(n, lo, b + 2, 3), b
+        assert window_blocks == [(lo, b - 1, 41), (b, b + 2, 40)]
 
 
 @pytest.mark.parametrize(
@@ -183,64 +212,102 @@ def exact_block(n, lo, hi, p):
         (1 << 20) + 3,
         (1 << 40) - 3,
         (1 << 40) + 1,
-        # float(x) is first inexact here, and p reaches 17 below the gate:
-        # the rounding of x, taken to the p-th power, is most of the error
         (1 << 53) + 1,
         (1 << 53) + 3,
-        # float(x) rounds down by 2**9 - 1, up by 2**9 - 1, and is exact
         (1 << 62) + (1 << 9) - 1,
         (1 << 62) + (1 << 9) + 1,
         (1 << 62) - 1024,
     ],
 )
-def test_float_filter_edge_palindromes(x, float_blocks):
-    # (c, 0, ..., 0, c)_x has n / x**p just above c, (c, x-1, ..., x-1, c)_x
-    # just below c + 1: the two bounds of the filter's window; c = x - 1 puts
-    # n / x**p, and so the rounding error, at its largest
+def test_float_filter_edge_palindromes(x, window_blocks):
+    # (c, 0, ..., 0, c)_x has n % x = c = n // x**p, the window's top, on
+    # the first base of a block; (c, x-1, ..., x-1, c)_x as well, and on a
+    # block's last base n // x**p is the window's bottom.  Most of these n
+    # are past 2**1000, and each is windowed all the same.
     for p in range(3, 31):
         for c in (x - 1, x // 2 + 1, x // (8 * p) + 1):
             for inner in (0, x - 1):
                 digits = (c,) + (inner,) * (p - 1) + (c,)
                 n = c * (x**p + 1) + inner * (x**p - x) // (x - 1)
-                float_blocks.clear()
-                got = scan(n, x, x + 16, 3)
-                assert (x, digits) in got, (p, c, inner)
-                assert got == oracle(n, x, x + 16, 3), (p, c, inner)
-                assert float_blocks == ([(x, x + 16, p)] if n < FLOAT_GATE else [])
+                for lo, hi in ((x, x + 16), (x - 16, x)):
+                    window_blocks.clear()
+                    got = scan(n, lo, hi, 3)
+                    assert (x, digits) in got, (p, c, inner, lo)
+                    assert got == oracle(n, lo, hi, 3), (p, c, inner, lo)
+                    b, e, q = window_blocks[-1 if hi == x else 0]
+                    assert (b, e, q) == (max(lo, iroot(n, p + 1) + 1), hi, p)
+    # (1, 0, ..., 0, 1)_x and (1, 1, ..., 1)_x sit on the last base of the
+    # band where n has p + 1 digits: the block ends there
+    for p in range(3, 31):
+        for digits in ((1,) + (0,) * (p - 1) + (1,), (1,) * (p + 1)):
+            n = sum(x**i for i, d in enumerate(digits) if d)
+            assert iroot(n, p) == x
+            window_blocks.clear()
+            got = scan(n, x - 20, x + 20, 3)
+            assert got[0] == (x, digits), p
+            assert got == oracle(n, x - 20, x + 20, 3), (p, digits)
+            assert window_blocks[0] == (x - 20, x, p)
 
 
-def test_float_filter_gate(float_blocks):
-    # (c, 0, ..., 0, c)_x with p = 49 on both sides of 2**1000, and p = 2
+def test_float_filter_gate(window_blocks):
+    # (c, 0, ..., 0, c)_x with p = 49 on both sides of 2**1000: both are
+    # windowed, since the window has no gate on the size of n
     x, p = (1 << 20) + 1, 49
-    c_hi = -(-FLOAT_GATE // (x**p + 1))
+    c_hi = -(-(1 << 1000) // (x**p + 1))
     for c in (c_hi - 1, c_hi):
         n = c * (x**p + 1)
-        float_blocks.clear()
+        window_blocks.clear()
         got = scan(n, x, x + 40, 3)
         assert (x, (c,) + (0,) * (p - 1) + (c,)) in got
         assert got == oracle(n, x, x + 40, 3)
-        assert float_blocks == ([(x, x + 40, p)] if c < c_hi else [])
-    assert (c_hi - 1) * (x**p + 1) < FLOAT_GATE <= c_hi * (x**p + 1)
-    # n has three digits from iroot(n, 3) + 1 on, four below: only the
-    # four-digit blocks are filtered in floats
+        assert window_blocks == [(x, x + 40, p)]
+    assert (c_hi - 1) * (x**p + 1) < 1 << 1000 <= c_hi * (x**p + 1)
+    # n has three digits from iroot(n, 3) + 1 on, four below: both sides
+    # are windowed, the 3-digit bases where their runs are short
     n = 1 << 43
     cube = iroot(n, 3)
-    float_blocks.clear()
+    window_blocks.clear()
     assert scan(n, cube + 1, cube + 3000, 3) == oracle(n, cube + 1, cube + 3000, 3)
-    assert float_blocks == []
-    assert cube + 1 < _RUN_MIN * 2 * (n // (cube + 1) ** 2)  # short runs
+    assert window_blocks[0][0] == cube + 1 and {p for *_, p in window_blocks} == {2}
+    assert cube + 1 < _SIEVE_RUN_MIN * 2 * (n // (cube + 1) ** 2)  # short runs
+    # a 4-digit band too short to pay for divisors(n) is windowed in full
+    window_blocks.clear()
     assert scan(n, 4096, 4600, 3) == oracle(n, 4096, 4600, 3)
-    assert float_blocks and {p for _, _, p in float_blocks} == {3}
+    assert window_blocks and {p for *_, p in window_blocks} == {3}
+    # the 3-digit band of 2**32 is windowed from its first base until its
+    # runs reach _SIEVE_RUN_MIN bases; from there its runs take the sieve,
+    # the divisor step and the modulo slices
+    n = 1 << 32
+    cube, root = iroot(n, 3), math.isqrt(n)
+    window_blocks.clear()
+    assert scan(n, cube + 1, root, 3) == oracle(n, cube + 1, root, 3)
+    last = window_blocks[-1][1] + 1  # the first base past the windowed part
+    assert all(b < _SIEVE_RUN_MIN * 2 * (n // b**2) for b, _, _ in window_blocks)
+    assert last >= _SIEVE_RUN_MIN * 2 * (n // last**2)
+    ends = [e + 1 for _, e, _ in window_blocks[:-1]]
+    assert ends == [b for b, _, _ in window_blocks[1:]]  # the blocks tile
 
 
-def test_float_filter_random_windows(rng, float_blocks):
-    # random n below the gate and windows of short runs, against the exact
-    # test the filter sits in front of; half the n are planted palindromes
-    # with random digits on a random base of the window
+def test_window_blocks_are_capped(window_blocks):
+    # the last 5000 bases of 2**60's 5-digit band are runs of leading digit
+    # 1 to 3: blocks there would span b*b / (64 p c) bases but stop at
+    # _SLICE, so a first hit is yielded fewer than _SLICE bases after its base
+    n = 1 << 60
+    top = iroot(n, 4)
+    lo = top - 5000
+    assert scan(n, lo, top, 5) == oracle(n, lo, top, 5)
+    assert max(e - b for b, e, _ in window_blocks) == _SLICE - 1
+    assert lo * lo // (64 * 4 * (n // lo**4)) > _SLICE
+
+
+def test_float_filter_random_windows(rng, window_blocks):
+    # random n of up to 1100 bits and windows inside one digit-count band,
+    # against the exact leading-digit test; half the n are planted
+    # palindromes with random digits on a random base of the window
     blocks = 0
     for _ in range(300):
-        p = rng.randint(3, 40)
-        x = rng.randint(_BLOCK_MIN, 1 << min(62, 999 // (p + 1)))
+        p = rng.randint(2, 40)
+        x = rng.randint(_WINDOW_MIN, 1 << min(62, 1100 // (p + 1)))
         c = rng.randint(x // (8 * p) + 1, x - 1)
         if rng.random() < 0.5:
             inner = [rng.randint(0, x - 1) for _ in range((p - 1) // 2)]
@@ -250,19 +317,18 @@ def test_float_filter_random_windows(rng, float_blocks):
         else:
             n = c * x**p + rng.randint(0, x**p - 1)
         # every base of the window gives n p + 1 digits
-        lo = max(_BLOCK_MIN, x - rng.randint(0, 300), iroot(n, p + 1) + 1)
+        lo = max(_WINDOW_MIN, x - rng.randint(0, 300), iroot(n, p + 1) + 1)
         hi = min(lo + rng.randint(0, 600), iroot(n, p))
-        assert n < FLOAT_GATE and lo <= hi
-        float_blocks.clear()
+        assert lo <= hi
+        window_blocks.clear()
         got = scan(n, lo, hi, p + 1)
         assert got == exact_block(n, lo, hi, p), (n, lo, hi)
-        blocks += bool(float_blocks)
-        nf = float(n)
-        for b, e, q in float_blocks:
+        blocks += bool(window_blocks)
+        for b, e, q in window_blocks:
             assert q == p
-            assert set(_float_candidates(n, nf, b, e, p)) >= {
+            assert _windowed(n, b, e, p, n // b**p) == [
                 x for x in range(b, e + 1) if n % x == n // x**p
-            }
+            ]
     assert blocks > 250
 
 
@@ -353,11 +419,11 @@ def test_min_pal_base_pow2_frozen():
 
 
 def test_min_pal_base_pow2_extension():
-    # b(2**n) for n = 201..300, kernel output written by
+    # b(2**n) for n = 201..400, kernel output written by
     # scripts/pow2_minbase_sweep.py: each row reads 2**n as a palindrome of
     # binomial form in a base 2**x - 1, and no base 2**y - 1 with y < x
     # reads 2**n palindromically; the rest of the minimality is the
-    # kernel's, so two rows are derived again
+    # kernel's, so five rows, the squares among them, are derived again
     with open(DATA_DIR / "pow2_minbase_ext.csv", encoding="utf-8", newline="") as fh:
         label, *lines = fh
     assert label.startswith("#") and "kernel output" in label
@@ -365,7 +431,7 @@ def test_min_pal_base_pow2_extension():
         int(r["n"]): (int(r["b"]), tuple(map(int, r["digits"].split())))
         for r in csv.DictReader(lines)
     }
-    assert list(rows) == list(range(201, 301))
+    assert list(rows) == list(range(201, 401))
     for n, (b, digits) in rows.items():
         rep = Representation(b, digits)
         assert from_digits(rep) == 1 << n and is_palindrome(rep), n
@@ -373,7 +439,7 @@ def test_min_pal_base_pow2_extension():
         assert (b + 1) & b == 0, n
         x = b.bit_length()
         assert not any(is_palindrome(to_digits(1 << n, (1 << y) - 1)) for y in range(2, x))
-    for n in (256, 289):
+    for n in (256, 289, 324, 361, 400):
         b, rep = min_pal_base(1 << n)
         assert (b, rep.digits) == rows[n]
 
@@ -734,7 +800,7 @@ def sieved_digits(n, lo, hi):
     while b <= hi:
         c = n // (b * b)
         end = min(hi, math.isqrt(n // c))
-        long_run = c and b >= palindrome._RUN_MIN * 2 * c
+        long_run = c and b >= palindrome._SIEVE_RUN_MIN * 2 * c
         if long_run and end - b >= palindrome._SIEVE_RUN_MIN:
             out.append(c)
         b = end + 1
@@ -885,7 +951,7 @@ def test_pow2_scans_frozen(divisor_runs):
 # -- the even-band path: even digit counts from divisors(n) -------------------
 
 
-def even_bands(n, lo=_BLOCK_MIN):
+def even_bands(n, lo=_EVEN_BAND_MIN):
     """(first, last) base of each band from lo on where n has an even
     number p + 1 of digits, p >= 3."""
     out = []
@@ -926,7 +992,7 @@ def test_even_band_pow2_first_hits(divisor_runs):
             (int(r["n"]), int(r["b"]), tuple(map(int, r["digits"].split())))
             for r in csv.DictReader(fh)
         ]
-    rows = [r for r in rows if r[1] >= _BLOCK_MIN and len(r[2]) % 2 == 0]
+    rows = [r for r in rows if r[1] >= _EVEN_BAND_MIN and len(r[2]) % 2 == 0]
     assert len(rows) > 50
     taken = 0
     for n_exp, b, digits in rows:
@@ -947,7 +1013,7 @@ def test_even_band_random_first_hits(rng, divisor_runs):
             b = rng.choice(SPLIT_BASES)
             n = split_planted(b, b // 4, b - 1, rng, max_divisors=10**9)[2]
         else:
-            b = rng.randint(_BLOCK_MIN + 1, 4000)
+            b = rng.randint(_EVEN_BAND_MIN + 1, 4000)
             n = rng.randint(1, b - 1) * (b**3 + 1) + rng.randint(0, b - 1) * (b * b + b)
         divisor_runs.clear()
         assert min_pal_base(n) == naive_min_pal_base(n), n
@@ -960,7 +1026,7 @@ def test_even_band_planted_edges(rng, divisor_runs):
     # 6-digit band past 1024, found as first hits and inside windows
     first_hits = 0
     for _ in range(60):
-        b = rng.randint(_BLOCK_MIN + 1, 3000)
+        b = rng.randint(_EVEN_BAND_MIN + 1, 3000)
         p = rng.choice((3, 5))
         n = rng.choice(
             [
@@ -997,7 +1063,7 @@ def split_planted(b, c_lo, c_hi, rng, max_divisors):
     raise AssertionError(f"no split n for base {b}")
 
 
-@pytest.mark.parametrize("b", [_BLOCK_MIN - 1, _BLOCK_MIN])  # 1024 and 5**2 * 41
+@pytest.mark.parametrize("b", [_EVEN_BAND_MIN - 1, _EVEN_BAND_MIN])  # 1024 and 5**2 * 41
 def test_even_band_planted_at_block_min(b, rng, divisor_runs):
     # (c, d, d, c)_b on base 1023 is found by the scan, on base 1024 by the
     # divisor path; windows start before, on and after it
@@ -1005,7 +1071,7 @@ def test_even_band_planted_at_block_min(b, rng, divisor_runs):
         c, d, n = split_planted(b, 500, b - 1, rng, max_divisors=400)
         hi = iroot(n, 3) + 10
         # n is fully split by trial division: the band pays for its divisors
-        assert hi - _BLOCK_MIN > palindrome._DIV_EACH * len(divisors(n))
+        assert hi - _EVEN_BAND_MIN > palindrome._DIV_EACH * len(divisors(n))
         for lo in (1000, b - 1, b, b + 1):
             divisor_runs.clear()
             got = scan(n, lo, hi, 3)
@@ -1015,7 +1081,7 @@ def test_even_band_planted_at_block_min(b, rng, divisor_runs):
         # below 1024 the band is scanned
         divisor_runs.clear()
         lo = iroot(n, 4) + 1
-        assert scan(n, lo, _BLOCK_MIN - 1, 3) == oracle(n, lo, _BLOCK_MIN - 1, 3)
+        assert scan(n, lo, _EVEN_BAND_MIN - 1, 3) == oracle(n, lo, _EVEN_BAND_MIN - 1, 3)
         assert divisor_runs == []
 
 
@@ -1123,11 +1189,11 @@ def test_even_band_block_min_edge(divisor_runs):
     # of n is scanned, even when it starts below 1024
     n = 3**24
     cost = palindrome._DIV_EACH * 25  # fully split, 25 divisors
-    assert iroot(n, 4) < 1000 and iroot(n, 3) > _BLOCK_MIN + cost
+    assert iroot(n, 4) < 1000 and iroot(n, 3) > _EVEN_BAND_MIN + cost
     for lo, hi, taken in (
-        (_BLOCK_MIN, _BLOCK_MIN + cost, True),
-        (_BLOCK_MIN - 1, _BLOCK_MIN + cost - 1, False),
-        (1000, _BLOCK_MIN + cost - 1, False),
+        (_EVEN_BAND_MIN, _EVEN_BAND_MIN + cost, True),
+        (_EVEN_BAND_MIN - 1, _EVEN_BAND_MIN + cost - 1, False),
+        (1000, _EVEN_BAND_MIN + cost - 1, False),
     ):
         divisor_runs.clear()
         assert scan(n, lo, hi, 4) == oracle(n, lo, hi, 4), (lo, hi)
@@ -1165,7 +1231,7 @@ def test_two_digit_band_against_closed_form(n, divisor_runs):
     full = oracle(n, root + 1, n - 1, 2)
     assert full == two_digit_hits(n, root + 1)
     hit_bases = [b for b, _ in full]
-    los = {root + 1, _BLOCK_MIN - 1, _BLOCK_MIN, _BLOCK_MIN + 1, 5000}
+    los = {root + 1, _EVEN_BAND_MIN - 1, _EVEN_BAND_MIN, _EVEN_BAND_MIN + 1, 5000}
     los |= {b + d for b in hit_bases[:8] + hit_bases[-3:] for d in (0, 1)}
     for lo in sorted(los):
         divisor_runs.clear()
@@ -1246,14 +1312,14 @@ def hard_n(rng, root_lo, root_hi, count):
     raise AssertionError("too few n without a palindrome below isqrt(n)")
 
 
-@pytest.mark.parametrize("root_lo, root_hi", [(700, _BLOCK_MIN - 1), (_BLOCK_MIN, 1500)])
+@pytest.mark.parametrize("root_lo, root_hi", [(700, _EVEN_BAND_MIN - 1), (_EVEN_BAND_MIN, 1500)])
 def test_min_pal_base_two_digit_hits(root_lo, root_hi, rng, divisor_runs):
     # b(n) > isqrt(n), with isqrt(n) on either side of 1024
     for n in hard_n(rng, root_lo, root_hi, 12):
         divisor_runs.clear()
         got = min_pal_base(n)
         assert got == naive_min_pal_base(n), n
-        if math.isqrt(n) >= _BLOCK_MIN:
+        if math.isqrt(n) >= _EVEN_BAND_MIN:
             assert divisor_runs == [n], n
         assert got[0] > math.isqrt(n) and len(got[1].digits) == 2
         assert got[0] == two_digit_hits(n, math.isqrt(n) + 1)[0][0]
