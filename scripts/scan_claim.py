@@ -5,8 +5,9 @@ check that every record is binomial-form or 3-digit.
 Prints one summary line per exponent plus any violating representations.
 Exit status 0 if the claim holds across the range, 3 otherwise, 2 on a
 usage error.  --jobs must be >= 1 and is capped at the CPUs this process
-may run on (its affinity set, else the CPU count), as in `palinradix scan`.  Runtime grows with isqrt(2**n), about sqrt(2)x per
-step of n: n = 50 takes under a second, n = 56 about 4 seconds.
+may run on (its affinity set, else the CPU count), as in `palinradix scan`.
+Runtime grows with isqrt(2**n), about sqrt(2)x per step of n: n = 50 takes
+about 0.2 seconds, n = 56 about 1 second (CPython 3.11, x86-64).
 """
 
 import argparse

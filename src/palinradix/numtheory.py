@@ -353,17 +353,12 @@ def perfect_power(n: int) -> tuple[int, int] | None:
     """
     if n < 2:
         return None
-    best: tuple[int, int] | None = None
     for k in range(2, n.bit_length() + 1):
         if not is_prime(k):
             continue
         r = iroot(n, k)
         if r**k == n:
             inner = perfect_power(r)
-            best = (inner[0], inner[1] * k) if inner else (r, k)
-            break
-    if best is None:
-        return None
-    # Recursion on the root already maximized the exponent.
-    return best
+            return (inner[0], inner[1] * k) if inner else (r, k)
+    return None
 

@@ -13,17 +13,15 @@ they need at once.  Where n has an even number of digits, a palindrome
 forces (b + 1) | n, so from base 1024 on such a band's candidates come
 from divisors(n); for 2**n they are the bases 2**x - 1 alone, and in the
 2-digit band, past isqrt(n), they are the (c,c)_b with c * (b + 1) = n.
-From base 256 on, the bases of bands of four or more digits, and those
-of the 3- and 2-digit bands' runs too short for the sieve, are tested in
+From base 256 on, every base that no divisor law takes is tested in
 blocks through one integer window (_windowed): within a digit-count band
 the leading digit n // b**p does not increase with b, so a block's
 palindromic bases have n % b between the leading digits of its last and
-first base, and only the few bases inside that window take the exact
-leading-digit test.  The longer runs of the 3- and 2-digit bands that no
-divisor law takes are filtered by one modulo a base, b | (n - c).  Every
-candidate ends in one confirm step, _confirmed, which extracts its digits
-once and builds the hit's Representation; min_pal_base passes the
-3-digit bases to it one by one.
+first base, one modulo and one comparison a base, and only the few bases
+inside that window take the exact leading-digit test.  Every candidate
+ends in one confirm step, _confirmed, which extracts its digits once and
+builds the hit's Representation; min_pal_base passes the 3-digit bases to
+it one by one.
 Base-range scans are embarrassingly parallel: a range is split into
 contiguous chunks, each chunk is scanned independently, with a sieve of
 its own, and the chunk results are concatenated in order, so the merged
@@ -111,12 +109,13 @@ def _scan_cap() -> int | None:
     return cap
 
 
-# Long runs are filtered, and their hits yielded, this many bases at a time,
-# and no window block is longer, so a search that stops at its first hit
-# tests fewer than this many bases past it.
+# No window block is longer than this, so a search that stops at its first
+# hit tests fewer than this many bases past it.
 _SLICE = 1024
-# Costs count in bases of the modulo filter, 55-85 ns each on n of 16-60
-# bits and about 180 ns at 64 bits (CPython 3.11, x86-64).  A run or band
+# Costs count in bases of the window inside one run, one modulo and one
+# comparison a base: 55-85 ns each on n of 16-60 bits and about 180 ns at
+# 64 bits (CPython 3.11, x86-64), measured on the modulo filter b | n - c
+# that the window replaced, which timed within 5% of it.  A run or band
 # of L = end - b bases tries divisors() within half of what its scan would
 # cost, and is scanned when the try fails: Brent rho may take L / 2 bases'
 # worth of steps (each one y -> y*y + c mod m), and the number may have at
@@ -161,13 +160,12 @@ _COFACTOR_RUN_MIN = 1024
 # it bands hold a few bases, which cost less to scan than an integer root
 # and a divisor filter.
 _EVEN_BAND_MIN = 1024
-# From _WINDOW_MIN on, the bases of a band of four or more digits, and those
-# of the 3- and 2-digit bands until their runs reach _SIEVE_RUN_MIN bases,
-# are tested in blocks through one integer window (_windowed).  A block
-# b..e lies inside one digit-count band, e <= iroot(n, p), where the
-# leading digit c(x) = n // x**p does not increase as x grows; a
-# palindrome needs n % x = c(x), so every palindromic base of the block
-# has c(e) <= n % x <= c(b).  Only the bases inside that window take the
+# From _WINDOW_MIN on, every base that no divisor law takes is tested in
+# blocks through one integer window (_windowed).  A block b..e lies inside
+# one digit-count band, e <= iroot(n, p), where the leading digit
+# c(x) = n // x**p does not increase as x grows; a palindrome needs
+# n % x = c(x), so every palindromic base of the block has
+# c(e) <= n % x <= c(b).  Only the bases inside that window take the
 # exact test n % x == n // x**p, whose bigint power costs more the more
 # digits n has.  The window holds about p * c * w / b + 1 of the b values
 # n % x may take on a block of w bases, so a block of w = b*b / (64 p c)
@@ -184,7 +182,11 @@ _EVEN_BAND_MIN = 1024
 # 1 base instead of 64 took 30% longer (0.300-0.411 against 0.226-0.287 s
 # a round, 8 rounds), and a further cap of b / 16 bases timed the same
 # there (0.340-0.397 against 0.325-0.443 s, 12 rounds) and on the
-# complete scans of 2**38..2**43 (0.071-0.122 s both).
+# complete scans of 2**38..2**43 (0.071-0.122 s both).  As one modulo and
+# one comparison, the window took 44-58 ns a base against 50-86 ns for the
+# two comparisons c(e) <= n % x <= c(b) at p = 2 on 2**43, 62-96 against
+# 75-109 at p = 10 on 2**186, and 103-107 against 116-127 at p = 16 on
+# 2**386 (min of 15 rounds over 4000 bases, three rounds, one pinned core).
 # Below _WINDOW_MIN every base takes the exact test alone, which costs less
 # per call on the small n whose searches end there.
 _WINDOW_MIN = 256
@@ -220,13 +222,16 @@ def _sieved(n: int, b: int, hi: int, c: int) -> tuple[int, list | None]:
 def _windowed(n: int, b: int, e: int, p: int, c: int) -> list[int]:
     """The bases x in b..e, all giving n p + 1 digits, where n % x equals
     the leading digit n // x**p, for c = n // b**p: only those with
-    n // e**p <= n % x <= c, the window, take the exact test.
+    n // e**p <= n % x <= c, the window, take the exact test.  The window
+    is one modulo and one comparison, (n - n // e**p) % x <= c - n // e**p,
+    exact because every leading digit is below its base, c < b <= x.
 
-    >>> _windowed(2**30, 448, 511, 3, 11)  # 8 <= 2**30 % x <= 11
+    >>> _windowed(2**30, 448, 511, 3, 11)  # (2**30 - 8) % x <= 3
     [511]
     """
     ce = n // e**p
-    return [x for x in range(b, e + 1) if ce <= (r := n % x) <= c and r == n // x**p]
+    m, span = n - ce, c - ce
+    return [x for x in range(b, e + 1) if m % x <= span and n % x == n // x**p]
 
 
 def _confirmed(n: int, bases) -> Iterator[Representation]:
@@ -261,15 +266,12 @@ def _palindromic_bases(
     base b (b**p <= n < b**(p+1)).  A palindrome's last digit n % b equals
     its leading digit c = n // b**p, and c is constant over runs of
     consecutive bases.  Below _WINDOW_MIN, n % b is compared with each
-    base's leading digit.  From there on a band of four or more digits
-    (p >= 3), and the 3- and 2-digit bands until their runs reach
-    _SIEVE_RUN_MIN bases, are tested in blocks b..e that stay inside the
-    band, e <= iroot(n, p), computed once a band: there c does not grow, so
-    a palindromic base x has c(e) <= n % x <= c(b), and only the bases
+    base's leading digit.  From there on every base that no divisor law
+    takes is tested in blocks b..e that stay inside the band,
+    e <= iroot(n, p), computed once a band: there c does not grow, so a
+    palindromic base x has c(e) <= n % x <= c(b), and only the bases
     inside that window take the exact test n % x == n // x**p
-    (_windowed).  On the longer runs of the 3- and 2-digit bands, whose
-    last base is an exact integer root, a base is a candidate only if it
-    divides n - c.  Two divisor laws take whole runs and bands at once,
+    (_windowed).  Two divisor laws take whole runs and bands at once,
     through one step: where n has 3 digits, the candidates of a run are
     the divisors of n - c in it; where n has an even number p + 1 of
     digits, a palindrome forces (b + 1) | n, so from _EVEN_BAND_MIN on the
@@ -280,10 +282,12 @@ def _palindromic_bases(
     (_divisors_within): it is scanned when Brent rho would take more than
     L / 2 bases' worth of steps, when n has more than L / _DIV_EACH
     divisors, or when the split leaves a cofactor past the Miller-Rabin
-    bound.  A 3-digit run needs _SIEVE_RUN_MIN bases, and its
-    split of n - c comes from a sieve over the leading digits of the runs
-    ahead (_sieved), made only where those runs hold enough bases to pay
-    for it; a split that leaves a cofactor to test needs
+    bound.  A 3-digit run needs _SIEVE_RUN_MIN bases and tries once, on
+    the first base the walk reaches in it; its blocks end on its last
+    base, isqrt(n // c), so the next run's try starts on its first base.
+    Its split of n - c comes from a sieve over the leading digits of the
+    runs ahead (_sieved), made only where those runs hold enough bases to
+    pay for it; a split that leaves a cofactor to test needs
     _COFACTOR_RUN_MIN bases.  n itself is trial-divided once a call, and
     divisors(n) is computed at most once, when an even band first pays for
     it.  All these tests only filter: every candidate is confirmed by full
@@ -316,6 +320,7 @@ def _palindromic_bases(
     n_split = None  # n's small factors and cofactor, for every try of divisors(n)
     sieved_from, splits = n, None  # splits of n - c for c >= sieved_from
     scanned = 0  # an odd p whose band is scanned: its try of divisors(n) failed
+    tried = 0  # the leading digit of the last 3-digit run that tried divisors(n - c)
     while p and b <= hi:
         c = n // b**p
         if not c:  # b**p > n: from b on, n has one digit fewer
@@ -339,31 +344,28 @@ def _palindromic_bases(
             if n % b == c:
                 yield from _confirmed(n, (b,))
             b += 1
-        elif p > 2 or b < _SIEVE_RUN_MIN * p * c:  # runs shorter than the sieve's
-            top = top or iroot(n, p)
-            w = max(64, min(_SLICE, b * b // (64 * p * c)))
-            e = min(hi, top, b + w - 1)
-            yield from _confirmed(n, _windowed(n, b, e, p, c))
-            b = e + 1
-        else:  # a long run: n has 2 or 3 digits
-            end = min(hi, iroot(n // c, p))  # the run's last base
-            m = n - c
-            if p == 2 and end - b >= _SIEVE_RUN_MIN:
-                # n = (c, d, c)_x forces x | m
+            continue
+        top = top or iroot(n, p)
+        e = min(hi, top, b + max(64, min(_SLICE, b * b // (64 * p * c))) - 1)
+        if p == 2 and b >= _SIEVE_RUN_MIN * 2 * c:  # a long 3-digit run
+            end = min(hi, math.isqrt(n // c))  # the run's last base
+            if c != tried and end - b >= _SIEVE_RUN_MIN:
+                # n = (c, d, c)_x forces x | n - c: one try a run
+                tried = c
                 if c < sieved_from:
                     sieved_from, splits = _sieved(n, b, hi, c)
                 split = splits and splits[c - sieved_from]
                 if (
                     split
                     and (split[1] == 1 or end - b >= _COFACTOR_RUN_MIN)
-                    and (divs_m := _divisors_within(m, end - b, split)) is not None
+                    and (divs_m := _divisors_within(n - c, end - b, split)) is not None
                 ):
                     yield from _confirmed(n, _divisor_bases(divs_m, b, end, 0))
                     b = end + 1
-            while b <= end:
-                stop = min(end, b + _SLICE - 1)
-                yield from _confirmed(n, [x for x in range(b, stop + 1) if not m % x])
-                b = stop + 1
+                    continue
+            e = min(e, end)  # so that the next run's try starts at its first base
+        yield from _confirmed(n, _windowed(n, b, e, p, c))
+        b = e + 1
     for x in range(b, hi + 1):  # b > n: every base reads n as one digit
         yield Representation(x, (n,))
 

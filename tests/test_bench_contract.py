@@ -3,17 +3,22 @@
 perfbench/spans.py wraps palinradix names by module and attribute, and
 perfbench/selftest.py rebuilds a ScanReport from five positional fields.
 A rename here would leave tier-1 green while the traced benchmark breaks,
-so these tests read spans.py (without changing it) and check each name.
+so these tests read spans.py (without changing it) and check each name,
+and run the benchmark's own self-test, which fails when a kernel change
+breaks one of its workloads.
 """
 
 import dataclasses
 import importlib
 import importlib.util
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-SPANS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 @pytest.fixture(scope="module")
@@ -50,3 +55,13 @@ def test_scan_report_positional_fields():
         report.exhaustive,
     )
     assert rebuilt.records == report.records[:-1]
+
+
+def test_perfbench_selftest():
+    # about 1.5 s on small inputs; it writes .bench_out/bare and removes it
+    done = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1] == '{"selftest_failures": []}'

@@ -249,7 +249,7 @@ def test_float_filter_edge_palindromes(x, window_blocks):
             assert window_blocks[0] == (x - 20, x, p)
 
 
-def test_float_filter_gate(window_blocks):
+def test_float_filter_gate(window_blocks, divisor_tries):
     # (c, 0, ..., 0, c)_x with p = 49 on both sides of 2**1000: both are
     # windowed, since the window has no gate on the size of n
     x, p = (1 << 20) + 1, 49
@@ -274,18 +274,17 @@ def test_float_filter_gate(window_blocks):
     window_blocks.clear()
     assert scan(n, 4096, 4600, 3) == oracle(n, 4096, 4600, 3)
     assert window_blocks and {p for *_, p in window_blocks} == {3}
-    # the 3-digit band of 2**32 is windowed from its first base until its
-    # runs reach _SIEVE_RUN_MIN bases; from there its runs take the sieve,
-    # the divisor step and the modulo slices
+    # the 3-digit band of 2**32 is windowed but for the runs the divisor
+    # step takes whole: the window blocks and those runs tile the band
     n = 1 << 32
     cube, root = iroot(n, 3), math.isqrt(n)
     window_blocks.clear()
+    divisor_tries.clear()
     assert scan(n, cube + 1, root, 3) == oracle(n, cube + 1, root, 3)
-    last = window_blocks[-1][1] + 1  # the first base past the windowed part
-    assert all(b < _SIEVE_RUN_MIN * 2 * (n // b**2) for b, _, _ in window_blocks)
-    assert last >= _SIEVE_RUN_MIN * 2 * (n // last**2)
-    ends = [e + 1 for _, e, _ in window_blocks[:-1]]
-    assert ends == [b for b, _, _ in window_blocks[1:]]  # the blocks tile
+    taken = [run_bounds(n, n - t.m) for t in divisor_tries if t.taken]
+    pieces = sorted([(b, e) for b, e, _ in window_blocks] + taken)
+    assert taken and pieces[0][0] == cube + 1 and pieces[-1][1] == root
+    assert all(e + 1 == b for (_, e), (b, _) in zip(pieces, pieces[1:]))
 
 
 def test_window_blocks_are_capped(window_blocks):
@@ -827,6 +826,31 @@ def test_sieve_windows_inside_a_segment(n, sieve_calls, divisor_runs):
         assert (c_lo, c_hi) == (n // hi**2, digits[0]), (lo, hi)
         assert palindrome._SIEVE_MIN <= bound <= palindrome._SIEVE_MAX
         assert divisor_runs and {n - m for m in divisor_runs} <= set(digits)
+
+
+@pytest.mark.parametrize("n", [1 << 40, 903215209369])
+def test_long_runs_try_once(n, window_blocks, divisor_tries):
+    # a 3-digit run of _SIEVE_RUN_MIN bases or more tries divisors(n - c)
+    # once and windows its bases when the try fails; its blocks end by the
+    # run's last base, so that the next run's try starts on its own first
+    # base (for these n, every run that tries; where the walk enters a run
+    # inside it, as 2**36 does the run of 60, the try is made there).
+    # Tries fail on 33 of the 131 runs of 2**40 and on 32 of the 121 of
+    # 903215209369, a random N: most n - c have more divisors than their
+    # run pays for, and 5 of the latter keep a cofactor that rho does not
+    # split within the run's budget.
+    cube, root = iroot(n, 3), math.isqrt(n)
+    list(_palindromic_bases(n, cube + 1, root, 3))
+    cs = [n - t.m for t in divisor_tries]
+    assert len(cs) == len(set(cs)) and not all(t.taken for t in divisor_tries)
+    starts = {b for b, _, _ in window_blocks}
+    for t, c in zip(divisor_tries, cs):
+        first, last = run_bounds(n, c)
+        assert t.max_count == (last - first) // palindrome._DIV_EACH, c
+        assert t.taken or first in starts, c
+    for b, e, _ in window_blocks:
+        c = n // b**2
+        assert b < _SIEVE_RUN_MIN * 2 * c or e <= math.isqrt(n // c), (b, e)
 
 
 def test_sieve_gates_the_runs(divisor_tries):
