@@ -4,8 +4,7 @@ check that every record is binomial-form or 3-digit.
 
 Prints one summary line per exponent plus any violating representations.
 Exit status 0 if the claim holds across the range, 3 otherwise, 2 on a
-usage error.  --jobs must be >= 1 and is capped at the CPUs this process
-may run on (its affinity set, else the CPU count), as in `palinradix scan`.
+usage error.
 Runtime grows with isqrt(2**n), about sqrt(2)x per step of n: n = 50 takes
 about 0.2 seconds, n = 56 about 1 second (CPython 3.11, x86-64).
 """
@@ -14,7 +13,7 @@ import argparse
 import sys
 import time
 
-from palinradix.cli import _capped_jobs, _claim_violations
+from palinradix.cli import _claim_violations
 from palinradix.palindrome import pow2_complete_scan
 
 
@@ -22,18 +21,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--min-n", type=int, default=1)
     parser.add_argument("--max-n", type=int, default=24)
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
     if not 1 <= args.min_n <= args.max_n:
         parser.error("need 1 <= --min-n <= --max-n")
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
-    jobs = _capped_jobs(args.jobs)
 
     violations = 0
     for n in range(args.min_n, args.max_n + 1):
         start = time.perf_counter()
-        report = pow2_complete_scan(n, jobs=jobs)
+        report = pow2_complete_scan(n)
         bad = [rec.rep for rec in _claim_violations(report.records)]
         elapsed = time.perf_counter() - start
         scope = "complete" if report.exhaustive else "capped"

@@ -4,9 +4,10 @@ Subcommands: minbase (single-value query), scan (palindrome search over a
 base range for 2**n), table (regenerate a reference table), conjectures
 (evidence sweep).  Exit codes: 0 success, 2 usage error, 3 verified claim
 violation or golden mismatch.  All output is deterministic for fixed
-arguments, whatever --jobs is; --jobs must be >= 1 and is capped at the
-number of CPUs this process may run on (its CPU affinity set where the OS
-has one, else the CPU count).
+arguments, whatever --jobs is; --jobs must be >= 1.  conjectures runs that
+many worker processes, capped at the number of CPUs this process may run
+on (its CPU affinity set where the OS has one, else the CPU count); scan
+accepts --jobs and runs in one process.
 """
 
 from __future__ import annotations
@@ -131,7 +132,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         print("scan: --jobs must be >= 1", file=sys.stderr)
         return 2
-    jobs = _capped_jobs(args.jobs)
     if args.max_base is not None and args.max_base > MAX_BASE:
         print(f"scan: --max-base exceeds {MAX_BASE}", file=sys.stderr)
         return 2
@@ -142,7 +142,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         print(f"scan: invalid base range [{args.min_base}, {hi}]", file=sys.stderr)
         return 2
     if args.max_base is None:
-        report = pow2_complete_scan(n_exp, min_digits=args.min_digits, jobs=jobs)
+        report = pow2_complete_scan(n_exp, min_digits=args.min_digits)
         if args.min_base > 2:  # every base from min_base on, 2-digit ones included
             kept = tuple(rec for rec in report.records if rec.rep.base >= args.min_base)
             report = replace(
@@ -153,7 +153,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
             )
     else:
         report = enumerate_palindromes(
-            1 << n_exp, args.min_base, hi, min_digits=args.min_digits, jobs=jobs
+            1 << n_exp, args.min_base, hi, min_digits=args.min_digits
         )
 
     violations = _claim_violations(report.records)
@@ -277,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-digits", type=int, default=2)
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes (>= 1, capped at the CPUs this "
-                   "process may run on)")
+                   help="accepted (>= 1) for compatibility; a scan runs in "
+                   "one process")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("table", help="regenerate a reference table")

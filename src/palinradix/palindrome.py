@@ -1,36 +1,35 @@
 """Palindrome search: minimal base, bounded scans, and the closed-form
 families (3-digit, (1,c,1), and 2-digit), kept as oracles for the scans.
 
-Base-range scans, min_pal_base outside its 3-digit bases, and the
-2-digit part of pow2_complete_scan all run on one kernel,
-_palindromic_bases.  It walks the bases by digit count and leading digit
-and tests most of them with one modulo each; two divisor laws take whole
-runs and bands at once, through one step, whenever divisors() splits the
-number within a budget of half the scan it replaces.  In the 3-digit band
-a run of one leading digit c takes its candidates from divisors(n - c),
-and the runs long enough to gain share one sieve that splits every n - c
-they need at once.  Where n has an even number of digits, a palindrome
-forces (b + 1) | n, so from base 1024 on such a band's candidates come
-from divisors(n); for 2**n they are the bases 2**x - 1 alone, and in the
-2-digit band, past isqrt(n), they are the (c,c)_b with c * (b + 1) = n.
-From base 256 on, every base that no divisor law takes is tested in
-blocks through one integer window (_windowed): within a digit-count band
-the leading digit n // b**p does not increase with b, so a block's
-palindromic bases have n % b between the leading digits of its last and
-first base, one modulo and one comparison a base, and only the few bases
-inside that window take the exact leading-digit test.  Every candidate
-ends in one confirm step, _confirmed, which extracts its digits once and
-builds the hit's Representation; min_pal_base passes the 3-digit bases to
-it one by one.
-Base-range scans are embarrassingly parallel: a range is split into
-contiguous chunks, each chunk is scanned independently, with a sieve of
-its own, and the chunk results are concatenated in order, so the merged
-report is identical for any job count.  The environment variable
-PALINRADIX_MAX_BASE, when set, caps the ranges of enumerate_palindromes
-and the scanned part of pow2_complete_scan; a capped scan is reported as
-non-exhaustive.
-min_pal_base, the 2-digit part of pow2_complete_scan and the closed-form
-families ignore it.
+Base-range scans, pow2_complete_scan and min_pal_base outside its 3-digit
+bases all run on one kernel, _palindromic_bases.  It walks the bases by
+digit count and leading digit and tests most of them with one modulo
+each; two divisor laws take whole runs and bands at once, through one
+step, whenever divisors() splits the number within a budget of half the
+scan it replaces.  In the 3-digit band a run of one leading digit c takes
+its candidates from divisors(n - c), and the runs long enough to gain
+share one sieve that splits every n - c they need at once.  Where n has
+an even number of digits, a palindrome forces (b + 1) | n, so from base
+1024 on such a band's candidates come from divisors(n); for 2**n they are
+the bases 2**x - 1 alone, and in the 2-digit band, past isqrt(n), they
+are the (c,c)_b with c * (b + 1) = n.  From base 256 on, every base that
+no divisor law takes is tested in blocks through one integer window
+(_windowed): within a digit-count band the leading digit n // b**p does
+not increase with b, so a block's palindromic bases have n % b between
+the leading digits of its last and first base, one modulo and one
+comparison a base, and only the few bases inside that window take the
+exact leading-digit test.  Every candidate ends in one confirm step,
+_confirmed, which extracts its digits once and builds the hit's
+Representation; min_pal_base passes the 3-digit bases to it one by one.
+A scan is one kernel call over its whole range, in one process: the
+divisor steps take the long runs near isqrt(n) whole, so the cost of a
+complete scan lies almost all in its lowest bases (of 2**50's bases up
+to isqrt, the first eighth took 92% of the time), and a split of the
+range gains nothing from more processes.  The environment variable
+PALINRADIX_MAX_BASE, when set, caps the range of every scan,
+enumerate_palindromes and pow2_complete_scan alike: a capped report is
+the uncapped one cut off at the cap, and is non-exhaustive when the cap
+cut its range.  min_pal_base and the closed-form families ignore it.
 """
 
 from __future__ import annotations
@@ -38,8 +37,9 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from multiprocessing import Pool
+from dataclasses import dataclass, replace
+# No scan starts workers; perfbench/spans.py swaps this name until ROADMAP item 6.
+from multiprocessing import Pool  # noqa: F401
 from typing import Iterator, NamedTuple
 
 from .binomial import BinomialClassification, classify_binomial
@@ -370,23 +370,20 @@ def _palindromic_bases(
         yield Representation(x, (n,))
 
 
-def _scan_chunk(args: tuple[int, int, int, int]) -> list[PalindromeRecord]:
-    n, lo, hi, min_digits = args
+def _scan_chunk(n: int, lo: int, hi: int, min_digits: int) -> list[PalindromeRecord]:
     return [make_record(n, rep) for rep in _palindromic_bases(n, lo, hi, min_digits)]
 
 
 def enumerate_palindromes(
-    n: int,
-    b_lo: int,
-    b_hi: int,
-    min_digits: int = 2,
-    jobs: int = 1,
+    n: int, b_lo: int, b_hi: int, min_digits: int = 2
 ) -> ScanReport:
-    """Every base in [b_lo, b_hi] in which n is palindromic, in base order.
+    """Every base in [b_lo, b_hi] in which n is palindromic, in base order,
+    from one kernel call.
 
     min_digits defaults to 2, which excludes the trivial single-digit case
-    n < b; pass 1 to include it.  The report is exhaustive unless the
-    PALINRADIX_MAX_BASE cap truncated the range.
+    n < b; pass 1 to include it.  Under the PALINRADIX_MAX_BASE cap the
+    records are those with base <= cap, and the report is exhaustive
+    unless the cap cut the range.
     """
     if n < 1:
         raise ValueError(f"target must be >= 1, got {n}")
@@ -398,26 +395,13 @@ def enumerate_palindromes(
         raise ValueError(f"min_digits must be >= 1, got {min_digits}")
     cap = _scan_cap()
     hi = b_hi if cap is None else min(b_hi, cap)
-    exhaustive = hi == b_hi
-
-    width = hi - b_lo + 1
-    if jobs <= 1 or width < 4 * jobs:
-        records = _scan_chunk((n, b_lo, hi, min_digits))
-    else:
-        step = -(-width // jobs)
-        chunks = [
-            (n, lo, min(lo + step - 1, hi), min_digits)
-            for lo in range(b_lo, hi + 1, step)
-        ]
-        with Pool(jobs) as pool:
-            records = [rec for part in pool.map(_scan_chunk, chunks) for rec in part]
-
+    records = _scan_chunk(n, b_lo, hi, min_digits)
     return ScanReport(
         target=n,
         base_range=(b_lo, b_hi),
         records=tuple(records),
         min_base=records[0].rep.base if records else None,
-        exhaustive=exhaustive,
+        exhaustive=hi == b_hi,
     )
 
 
@@ -542,37 +526,29 @@ def two_digit_reps(n: int) -> list[tuple[int, int]]:
     return sorted(out)
 
 
-def pow2_complete_scan(n_exp: int, min_digits: int = 2, jobs: int = 1) -> ScanReport:
+def pow2_complete_scan(n_exp: int, min_digits: int = 2) -> ScanReport:
     """Every palindromic representation of 2**n_exp with >= min_digits digits.
 
-    Bases up to complete_scan_bound are scanned by enumerate_palindromes,
-    within the PALINRADIX_MAX_BASE cap; the remaining bases can host only
-    2-digit palindromes (when min_digits <= 2), which the kernel takes from
-    the divisors of N, whatever the cap, up to base N - 1 or the 2**63 - 1
-    cap on bases.  The parts follow each other in base order.
+    One enumerate_palindromes call scans the bases from 2 to the last one
+    that can give N = 2**n_exp min_digits digits: N - 1, or
+    complete_scan_bound for three or more digits.  Past that bound the
+    kernel takes the 2-digit palindromes from the divisors of N.  Bases
+    past the 2**63 - 1 cap are not scanned, so from N = 2**64 on a report
+    with 2-digit palindromes is not exhaustive: (1,1)_{N-1} lies past it.
+    Nor is a report whose range PALINRADIX_MAX_BASE cut.  The report's
+    base_range is (2, complete_scan_bound), at least (2, 2).
     """
     if n_exp < 1:
         raise ValueError(f"exponent must be >= 1, got {n_exp}")
     if min_digits < 1:
         raise ValueError(f"min_digits must be >= 1, got {min_digits}")
-    n = 1 << n_exp
-    bound = complete_scan_bound(n_exp)
-    if bound >= 2:
-        report = enumerate_palindromes(n, 2, bound, min_digits=min_digits, jobs=jobs)
-        records = list(report.records)
-        exhaustive = report.exhaustive
-    else:
-        records = []
-        exhaustive = True
-    if min_digits <= 2:
-        records += _scan_chunk((n, bound + 1, min(n - 1, MAX_BASE), min_digits))
-        # the c = 1 row (1,1)_{2**n - 1} exceeds the base cap from n >= 64 on
-        if n - 1 > MAX_BASE:
-            exhaustive = False
-    return ScanReport(
-        target=n,
+    n, bound = 1 << n_exp, complete_scan_bound(n_exp)
+    last = n - 1 if min_digits <= 2 else bound
+    # base 2 reads 2**1 as (1,0), so the range [2, 2] stands in for none;
+    # a bound past the base cap raises in enumerate_palindromes
+    report = enumerate_palindromes(n, 2, max(2, bound, min(last, MAX_BASE)), min_digits)
+    return replace(
+        report,
         base_range=(2, max(bound, 2)),
-        records=tuple(records),
-        min_base=records[0].rep.base if records else None,
-        exhaustive=exhaustive,
+        exhaustive=report.exhaustive and last <= MAX_BASE,
     )

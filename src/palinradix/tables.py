@@ -67,14 +67,14 @@ def table1_rows(n_max: int = 100) -> list[Table1Row]:
 def table2_rows(n_max: int = 20) -> list[Table2Row]:
     """Non-binomial 3-digit palindromes 2**n = (c,d,c)_b for n <= n_max.
 
-    They are the 3-digit records of the scan of bases 2..isqrt(2**n), the
-    serial body of enumerate_palindromes without its PALINRADIX_MAX_BASE
+    They are the 3-digit records of the scan of bases 2..isqrt(2**n): the
+    kernel call of enumerate_palindromes, without its PALINRADIX_MAX_BASE
     cap, which the tables ignore.
     """
     return [
         Table2Row(n, rec.rep.base, *rec.rep.digits[:2])
         for n in range(1, n_max + 1)
-        for rec in _scan_chunk((1 << n, 2, complete_scan_bound(n), 3))
+        for rec in _scan_chunk(1 << n, 2, complete_scan_bound(n), 3)
         if rec.digit_count == 3 and rec.binomial is None
     ]
 

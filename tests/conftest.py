@@ -1,4 +1,6 @@
+import contextlib
 import random
+import signal
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -49,3 +51,26 @@ def pool_sizes(monkeypatch):
     monkeypatch.setattr("os.cpu_count", lambda: 3)
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     return sizes
+
+
+@pytest.fixture
+def deadline():
+    """deadline(seconds) is a context manager whose block raises
+    TimeoutError once it has run that long, so that a search which loses
+    its answer fails instead of hanging.  It arms SIGALRM, so it needs a
+    POSIX system and the main thread."""
+
+    @contextlib.contextmanager
+    def within(seconds):
+        def expire(signum, frame):
+            raise TimeoutError(f"still running after {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return within

@@ -275,14 +275,14 @@ class TestJobs:
         assert "--jobs must be >= 1" in err
         assert pool_sizes == []
 
-    def test_scan_capped_at_cpu_count(self, capsys, pool_sizes):
+    def test_scan_starts_no_worker(self, capsys, pool_sizes):
         _, serial, _ = run(capsys, "scan", "--pow2", "16", "--format", "csv")
-        code, capped, _ = run(
+        code, out, _ = run(
             capsys, "scan", "--pow2", "16", "--format", "csv", "--jobs", "1000000"
         )
         assert code == 0
-        assert pool_sizes == [3]
-        assert capped == serial
+        assert pool_sizes == []
+        assert out == serial
 
     def test_conjectures_capped_at_cpu_count(self, capsys, pool_sizes):
         _, serial, _ = run(capsys, "conjectures", "--max-n", "8")
@@ -295,14 +295,15 @@ class TestJobs:
         # an OS with no affinity call and no CPU count
         monkeypatch.delattr("os.sched_getaffinity", raising=False)
         monkeypatch.setattr("os.cpu_count", lambda: None)
-        code, _, _ = run(capsys, "scan", "--pow2", "16", "--jobs", "8")
+        code, _, _ = run(capsys, "conjectures", "--max-n", "8", "--jobs", "8")
         assert code == 0
         assert pool_sizes == []
 
     @pytest.mark.parametrize("command", ["scan --pow2 16", "conjectures --max-n 8"])
     def test_capped_at_affinity(self, capsys, pool_sizes, monkeypatch, command):
-        # as under `taskset -c 0,1` on 3 CPUs: two workers, and under
-        # `taskset -c 0` none, whatever os.cpu_count() says
+        # as under `taskset -c 0,1` on 3 CPUs: two conjectures workers, and
+        # under `taskset -c 0` none, whatever os.cpu_count() says; scan
+        # starts none under either
         argv = command.split()
         _, serial, _ = run(capsys, *argv)
         for cpus, started in (({0, 1}, [2]), ({0}, [])):
@@ -310,13 +311,13 @@ class TestJobs:
             pool_sizes.clear()
             code, capped, _ = run(capsys, *argv, "--jobs", "3")
             assert code == 0
-            assert pool_sizes == started
+            assert pool_sizes == (started if argv[0] == "conjectures" else [])
             assert capped == serial
 
     def test_cpu_count_without_affinity(self, capsys, pool_sizes, monkeypatch):
         # an OS with no affinity call falls back to the CPU count, 3
         monkeypatch.delattr("os.sched_getaffinity", raising=False)
-        code, _, _ = run(capsys, "scan", "--pow2", "16", "--jobs", "8")
+        code, _, _ = run(capsys, "conjectures", "--max-n", "8", "--jobs", "8")
         assert code == 0
         assert pool_sizes == [3]
 

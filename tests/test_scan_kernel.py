@@ -50,8 +50,8 @@ from oracles import (
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
 
-def scan(n, lo, hi, min_digits, jobs=1):
-    report = enumerate_palindromes(n, lo, hi, min_digits=min_digits, jobs=jobs)
+def scan(n, lo, hi, min_digits):
+    report = enumerate_palindromes(n, lo, hi, min_digits=min_digits)
     return [(r.rep.base, r.rep.digits) for r in report.records]
 
 
@@ -128,8 +128,9 @@ def test_planted_palindromes(rng):
 
 # -- the window: blocks of bases filtered by their leading digits ------------
 #
-# test_float_filter_* run edge palindromes, n on both sides of 2**1000 and
-# random windows through the window blocks.
+# test_window_edge_palindromes, test_window_coverage and
+# test_window_random_blocks run edge palindromes, n on both sides of
+# 2**1000 and random windows through the window blocks.
 
 
 @pytest.fixture
@@ -219,7 +220,7 @@ def test_short_run_block_at_band_edge(window_blocks):
         (1 << 62) - 1024,
     ],
 )
-def test_float_filter_edge_palindromes(x, window_blocks):
+def test_window_edge_palindromes(x, window_blocks):
     # (c, 0, ..., 0, c)_x has n % x = c = n // x**p, the window's top, on
     # the first base of a block; (c, x-1, ..., x-1, c)_x as well, and on a
     # block's last base n // x**p is the window's bottom.  Most of these n
@@ -249,7 +250,7 @@ def test_float_filter_edge_palindromes(x, window_blocks):
             assert window_blocks[0] == (x - 20, x, p)
 
 
-def test_float_filter_gate(window_blocks, divisor_tries):
+def test_window_coverage(window_blocks, divisor_tries):
     # (c, 0, ..., 0, c)_x with p = 49 on both sides of 2**1000: both are
     # windowed, since the window has no gate on the size of n
     x, p = (1 << 20) + 1, 49
@@ -299,7 +300,7 @@ def test_window_blocks_are_capped(window_blocks):
     assert lo * lo // (64 * 4 * (n // lo**4)) > _SLICE
 
 
-def test_float_filter_random_windows(rng, window_blocks):
+def test_window_random_blocks(rng, window_blocks):
     # random n of up to 1100 bits and windows inside one digit-count band,
     # against the exact leading-digit test; half the n are planted
     # palindromes with random digits on a random base of the window
@@ -338,9 +339,13 @@ def test_single_digit_band():
 
 
 def test_jobs_two_equals_one():
+    # two scans that meet halfway, from the 4-digit band into the 3-digit
+    # one, give the whole scan
     n = 1 << 33
     lo, hi = iroot(n, 3) - 500, math.isqrt(n) // 4
-    assert scan(n, lo, hi, 2, jobs=2) == scan(n, lo, hi, 2, jobs=1)
+    meet = lo + -(-(hi - lo + 1) // 2)  # the second scan's first base
+    halves = scan(n, lo, meet - 1, 2) + scan(n, meet, hi, 2)
+    assert halves == scan(n, lo, hi, 2) == oracle(n, lo, hi, 2)
 
 
 # -- min_pal_base: bases up to iroot(n, 3) on the kernel ----------------------
@@ -395,13 +400,15 @@ def test_min_pal_base_first_hit_on_edges(rng):
     assert min(first_hits.values()) >= 30, first_hits
 
 
-def test_first_hit_stops_inside_a_long_run():
+def test_first_hit_stops_inside_a_long_run(deadline):
     # (1, b-1, b-1, 1)_b sits on the first base of the run of leading digit 1
     # in the 4-digit band, about 2**38 bases long: only a search that yields
-    # before the run ends returns
+    # before the run ends returns, in milliseconds; one that loses the hit
+    # fails at the deadline
     b = 1 << 40
     n = b**3 + (b - 1) * b * b + (b - 1) * b + 1
-    first = next(_palindromic_bases(n, b - 5, iroot(n, 3), 4))
+    with deadline(30):
+        first = next(_palindromic_bases(n, b - 5, iroot(n, 3), 4))
     assert (first.base, first.digits) == oracle(n, b - 5, b, 4)[0]
 
 
@@ -614,21 +621,18 @@ def test_divisor_path_hit_next_to_window(rng, divisor_runs, short_div_runs):
             assert divisor_runs == [n - c]
 
 
-def test_divisor_path_jobs_two_splits_a_run(
-    rng, pool_sizes, divisor_runs, short_div_runs
-):
-    # two chunks of 6000 bases that meet inside a run, with a hit on the
-    # last base of the first chunk or the first base of the second
+def test_divisor_path_jobs_two_splits_a_run(rng, divisor_runs, short_div_runs):
+    # two scans of 6000 bases that meet inside a run, with a hit on the
+    # last base of the first scan or the first base of the second
     for shift in (0, 1, 0, 1):
         b = rng.randint(70_000, 200_000)
         n = planted_3digit(1, rng.randint(2 * b // 5, 3 * b // 5), b)
-        lo = b - 6000 + shift  # the second chunk starts at lo + 6000
+        lo = b - 6000 + shift  # the second scan starts at lo + 6000
         hi = lo + 11_999
         divisor_runs.clear()
-        got = scan(n, lo, hi, 3, jobs=2)
+        got = scan(n, lo, lo + 5999, 3) + scan(n, lo + 6000, hi, 3)
         assert got == scan(n, lo, hi, 3) == oracle(n, lo, hi, 3), (n, lo)
-        assert divisor_runs.count(n - 1) == 3  # once a chunk, once serially
-    assert pool_sizes == [2, 2, 2, 2]
+        assert divisor_runs.count(n - 1) == 3  # once a half, once whole
 
 
 # n, and the gate of its run of leading digit 1 with the real constants: a
@@ -867,21 +871,20 @@ def test_sieve_gates_the_runs(divisor_tries):
     assert min(lengths.values()) >= palindrome._SIEVE_RUN_MIN
 
 
-def test_sieve_jobs_two_splits_a_segment(pool_sizes, sieve_calls, divisor_runs):
-    # two chunks that meet inside the run of 5 each sieve their own digits;
-    # that run is in both chunks' sieves, and each chunk's part of it takes
+def test_sieve_jobs_two_splits_a_segment(sieve_calls, divisor_runs):
+    # two scans that meet inside the run of 5 each sieve their own digits;
+    # that run is in both scans' sieves, and each scan's part of it takes
     # the divisor path
     n = 1 << 41
     first, _ = run_bounds(n, 5)
-    meet = first + 20_000  # the second chunk's first base
+    meet = first + 20_000  # the second scan's first base
     lo, hi = meet - 60_000, meet + 59_999
-    got = scan(n, lo, hi, 3, jobs=2)
+    got = scan(n, lo, meet - 1, 3) + scan(n, meet, hi, 3)
     assert got == scan(n, lo, hi, 3) == oracle(n, lo, hi, 3)
-    assert pool_sizes == [2]
-    one, two, serial = sieve_calls
-    assert one[0] == two[1] == 5 and (one[1], two[0]) == (serial[1], serial[0])
+    one, two, whole = sieve_calls
+    assert one[0] == two[1] == 5 and (one[1], two[0]) == (whole[1], whole[0])
     assert (one[0], one[1]) == (5, sieved_digits(n, lo, meet - 1)[0])
-    assert divisor_runs.count(n - 5) == 3  # once a chunk, once serially
+    assert divisor_runs.count(n - 5) == 3  # once a half, once whole
 
 
 def test_sieve_window_spans_segments(monkeypatch, sieve_calls, divisor_runs):
@@ -1127,23 +1130,22 @@ def test_even_band_windows_inside(n, divisor_runs):
         assert divisor_runs == [n], (lo, hi)
 
 
-def test_even_band_jobs_two_splits_a_band(rng, pool_sizes, divisor_runs):
-    # two chunks of 6000 bases that meet inside the 4-digit band of
+def test_even_band_jobs_two_splits_a_band(rng, divisor_runs):
+    # two scans of 6000 bases that meet inside the 4-digit band of
     # (c, d, d, c)_7999, with a hit planted on the last base of the first
-    # chunk or the first base of the second
+    # scan or the first base of the second
     for shift in (0, 1, 0, 1):
         b = 7999
         c, d, n = split_planted(b, 6, 30, rng, max_divisors=300)
-        lo = b - 6000 + shift  # the second chunk starts at lo + 6000
+        lo = b - 6000 + shift  # the second scan starts at lo + 6000
         hi = lo + 11_999
         assert iroot(n, 4) < lo and hi <= iroot(n, 3)
         assert 6000 > palindrome._DIV_EACH * len(divisors(n))  # fully split
         divisor_runs.clear()
-        got = scan(n, lo, hi, 3, jobs=2)
+        got = scan(n, lo, lo + 5999, 3) + scan(n, lo + 6000, hi, 3)
         assert got == scan(n, lo, hi, 3) == oracle(n, lo, hi, 3), (n, lo)
         assert b in [x for x, _ in got]
-        assert divisor_runs == [n, n, n]  # once a chunk, once serially
-    assert pool_sizes == [2, 2, 2, 2]
+        assert divisor_runs == [n, n, n]  # once a half, once whole
 
 
 @pytest.mark.parametrize("min_digits", [3, 4, 5, 6, 7])
@@ -1294,7 +1296,7 @@ def test_two_digit_band_large_n(n, divisor_runs):
     assert divisor_runs == [n]
 
 
-def test_pow2_complete_scan_two_digit_part(monkeypatch):
+def test_pow2_complete_scan_two_digit_part(monkeypatch, divisor_runs):
     # the records past isqrt(2**n) are the closed form's, in base order
     for n_exp in (1, 2, 3, 12, 19, 20, 21, 36):
         n = 1 << n_exp
@@ -1307,18 +1309,53 @@ def test_pow2_complete_scan_two_digit_part(monkeypatch):
         assert pow2_complete_scan(n_exp, min_digits=3).records == tuple(
             r for r in report.records if r.digit_count >= 3
         )
-    # the base cap PALINRADIX_MAX_BASE cuts the scan, not the 2-digit part,
-    # which stops at the 2**63 - 1 cap on bases from 2**64 on
-    monkeypatch.setenv("PALINRADIX_MAX_BASE", "1000")
-    for n_exp in (40, 63, 64, 65, 90):
+    # one kernel call: the 4-digit band and the 2-digit band share
+    # divisors(2**40)
+    divisor_runs.clear()
+    pow2_complete_scan(40)
+    assert divisor_runs.count(1 << 40) == 1
+    # under PALINRADIX_MAX_BASE = C every scan reports the uncapped records
+    # with base <= C, and is exhaustive unless C cut its range; from 2**64
+    # on, pow2_complete_scan is not, since bases stop at 2**63 - 1.  The
+    # uncapped records of 2**64 and 2**65 come from the oracle, for caps
+    # below isqrt(N): a complete scan of them takes seconds.
+    for n_exp, caps in (
+        (12, (30, 64, 65, 1000, 4094, 4095, 5000)),  # isqrt 64, N - 1 = 4095
+        (40, (5000, 1 << 20, (1 << 20) + 1, 1 << 30, (1 << 40) - 1)),
+        (64, (1000, 5000)),
+        (65, (1000, 5000)),
+    ):
+        n, top = 1 << n_exp, min((1 << n_exp) - 1, palindrome.MAX_BASE)
+        if n_exp < 64:
+            full = [(r.rep.base, r.rep.digits) for r in pow2_complete_scan(n_exp).records]
+        for cap in caps:
+            want = oracle(n, 2, cap, 2) if n_exp >= 64 else [h for h in full if h[0] <= cap]
+            monkeypatch.setenv("PALINRADIX_MAX_BASE", str(cap))
+            report = pow2_complete_scan(n_exp)
+            assert [(r.rep.base, r.rep.digits) for r in report.records] == want, cap
+            assert report.base_range == (2, math.isqrt(n))
+            assert report.exhaustive == (cap >= n - 1 and n - 1 <= palindrome.MAX_BASE)
+            # with three digits or more the range ends at isqrt(N)
+            three = pow2_complete_scan(n_exp, min_digits=3)
+            assert three.records == tuple(r for r in report.records if r.digit_count >= 3)
+            assert three.exhaustive == (cap >= math.isqrt(n)), cap
+            scanned = enumerate_palindromes(n, 2, top)
+            assert scanned.records == report.records, cap
+            assert scanned.exhaustive == (cap >= top), cap
+            monkeypatch.delenv("PALINRADIX_MAX_BASE")
+    # uncapped, the scan of 2**64 and up stops at 2**63 - 1 and is not
+    # exhaustive; the kernel is stubbed, as those complete scans take seconds
+    ranges = []
+    monkeypatch.setattr(
+        palindrome, "_palindromic_bases", lambda *args: ranges.append(args) or iter(())
+    )
+    for n_exp in (63, 64, 65):
+        ranges.clear()
         n = 1 << n_exp
-        report = pow2_complete_scan(n_exp)
-        assert not report.exhaustive
-        bound = math.isqrt(n)
-        assert max(r.rep.base for r in report.records if r.rep.base <= bound) <= 1000
-        got = [(r.rep.base, r.rep.digits) for r in report.records if r.rep.base > bound]
-        assert got == two_digit_hits(n, bound + 1), n_exp
-        assert got[-1][0] == min(n - 1, palindrome.MAX_BASE)
+        assert pow2_complete_scan(n_exp).exhaustive == (n_exp < 64)
+        assert pow2_complete_scan(n_exp, min_digits=3).exhaustive
+        top = min(n - 1, palindrome.MAX_BASE)
+        assert ranges == [(n, 2, top, 2), (n, 2, math.isqrt(n), 3)]
 
 
 def hard_n(rng, root_lo, root_hi, count):

@@ -21,24 +21,16 @@ def scan_claim():
     return load("scan_claim")
 
 
-class TestScanClaimJobs:
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_below_one_is_usage_error(self, capsys, scan_claim, pool_sizes, jobs):
-        with pytest.raises(SystemExit) as exc:
-            scan_claim.main(["--max-n", "16", "--jobs", jobs])
-        assert exc.value.code == 2
-        assert "--jobs must be >= 1" in capsys.readouterr().err
-        assert pool_sizes == []
-
-    def test_capped_at_cpu_count(self, capsys, scan_claim, pool_sizes):
-        argv = ["--min-n", "16", "--max-n", "16"]
-        assert scan_claim.main(argv) == 0
-        serial = capsys.readouterr().out
-        assert scan_claim.main(argv + ["--jobs", "1000000"]) == 0
-        capped = capsys.readouterr().out
-        assert pool_sizes == [3]
-        # the same records; only the timing column may differ
-        assert capped.split("[")[0] == serial.split("[")[0]
+class TestScanClaim:
+    def test_claim_holds(self, capsys, scan_claim):
+        assert scan_claim.main(["--min-n", "11", "--max-n", "12"]) == 0
+        out, err = capsys.readouterr()
+        # one line an exponent; only the timing column varies
+        assert [line.split("[")[0] for line in out.splitlines()] == [
+            "n= 11  bases 2..45           records=7    complete ok  ",
+            "n= 12  bases 2..64           records=11   complete ok  ",
+        ]
+        assert err == "claim holds over the full range\n"
 
 
 @pytest.fixture(scope="module")
