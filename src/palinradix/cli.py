@@ -7,18 +7,22 @@ violation or golden mismatch.  All output is deterministic for fixed
 arguments, whatever --jobs is; --jobs must be >= 1.  conjectures runs that
 many worker processes, capped at the number of CPUs this process may run
 on (its CPU affinity set where the OS has one, else the CPU count); scan
-accepts --jobs and runs in one process.
+accepts --jobs and runs in one process.  scan --min-base B scans only the
+bases from B on, so it costs only the range it asks for.  The argument
+parser is built once per process, on the first main() call, and reused by
+every later call; the palinradix command calls main() once, so only
+callers that run main() in-process more than once gain from it.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
 import sys
-from dataclasses import replace
 
 from . import tables
 from .palindrome import (
@@ -142,15 +146,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         print(f"scan: invalid base range [{args.min_base}, {hi}]", file=sys.stderr)
         return 2
     if args.max_base is None:
-        report = pow2_complete_scan(n_exp, min_digits=args.min_digits)
-        if args.min_base > 2:  # every base from min_base on, 2-digit ones included
-            kept = tuple(rec for rec in report.records if rec.rep.base >= args.min_base)
-            report = replace(
-                report,
-                base_range=(args.min_base, hi),
-                records=kept,
-                min_base=kept[0].rep.base if kept else None,
-            )
+        report = pow2_complete_scan(n_exp, min_digits=args.min_digits, lo=args.min_base)
     else:
         report = enumerate_palindromes(
             1 << n_exp, args.min_base, hi, min_digits=args.min_digits
@@ -254,6 +250,14 @@ def cmd_conjectures(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the four subcommands.
+
+    main() builds one on its first call and reuses it for every later call
+    in the process (_parser), so each subcommand's set_defaults(func=cmd_*)
+    binds the cmd_* function the module held at that first build; a test
+    that patches a cmd_* function clears the cache with
+    _parser.cache_clear().
+    """
     parser = argparse.ArgumentParser(
         prog="palinradix",
         description="Palindromic radix representations: minimal bases, scans, "
@@ -298,8 +302,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of main(): built on its first call, then reused."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -526,29 +526,32 @@ def two_digit_reps(n: int) -> list[tuple[int, int]]:
     return sorted(out)
 
 
-def pow2_complete_scan(n_exp: int, min_digits: int = 2) -> ScanReport:
-    """Every palindromic representation of 2**n_exp with >= min_digits digits.
+def pow2_complete_scan(n_exp: int, min_digits: int = 2, lo: int = 2) -> ScanReport:
+    """Every palindromic representation of 2**n_exp with >= min_digits
+    digits, in the bases from lo on.
 
-    One enumerate_palindromes call scans the bases from 2 to the last one
+    One enumerate_palindromes call scans the bases from lo to the last one
     that can give N = 2**n_exp min_digits digits: N - 1, or
     complete_scan_bound for three or more digits.  Past that bound the
     kernel takes the 2-digit palindromes from the divisors of N.  Bases
     past the 2**63 - 1 cap are not scanned, so from N = 2**64 on a report
     with 2-digit palindromes is not exhaustive: (1,1)_{N-1} lies past it.
     Nor is a report whose range PALINRADIX_MAX_BASE cut.  The report's
-    base_range is (2, complete_scan_bound), at least (2, 2).
+    base_range is (lo, max(complete_scan_bound, 2)), and lo must lie in it.
     """
     if n_exp < 1:
         raise ValueError(f"exponent must be >= 1, got {n_exp}")
     if min_digits < 1:
         raise ValueError(f"min_digits must be >= 1, got {min_digits}")
-    n, bound = 1 << n_exp, complete_scan_bound(n_exp)
+    n, bound = 1 << n_exp, max(complete_scan_bound(n_exp), 2)
+    if not 2 <= lo <= bound:
+        raise ValueError(f"invalid base range [{lo}, {bound}]")
     last = n - 1 if min_digits <= 2 else bound
     # base 2 reads 2**1 as (1,0), so the range [2, 2] stands in for none;
     # a bound past the base cap raises in enumerate_palindromes
-    report = enumerate_palindromes(n, 2, max(2, bound, min(last, MAX_BASE)), min_digits)
+    report = enumerate_palindromes(n, lo, max(bound, min(last, MAX_BASE)), min_digits)
     return replace(
         report,
-        base_range=(2, max(bound, 2)),
+        base_range=(lo, bound),
         exhaustive=report.exhaustive and last <= MAX_BASE,
     )

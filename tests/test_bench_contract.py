@@ -4,8 +4,9 @@ perfbench/spans.py wraps palinradix names by module and attribute, and
 perfbench/selftest.py rebuilds a ScanReport from five positional fields.
 A rename here would leave tier-1 green while the traced benchmark breaks,
 so these tests read spans.py (without changing it) and check each name,
-and run the benchmark's own self-test, which fails when a kernel change
-breaks one of its workloads.
+check that importing palinradix.cli loads every module it names, and run
+the benchmark's own self-test, which fails when a kernel change breaks one
+of its workloads.
 """
 
 import dataclasses
@@ -41,6 +42,25 @@ def test_pool_modules_have_pool(spans):
     for mod_name in spans.POOL_MODULES:
         module = importlib.import_module(f"palinradix.{mod_name}")
         assert callable(getattr(module, "Pool", None)), mod_name
+
+
+def test_cli_import_loads_traced_modules(spans):
+    # perfbench imports palinradix.cli afresh (run.import_package) and
+    # then looks each traced module up in sys.modules, so a module that
+    # cli imports lazily makes SpanRecorder.install raise KeyError
+    def ours():
+        return [k for k in sys.modules if k == "palinradix" or k.startswith("palinradix.")]
+
+    saved = {key: sys.modules.pop(key) for key in ours()}
+    try:
+        importlib.import_module("palinradix.cli")
+        loaded = set(ours())
+    finally:
+        for key in ours():
+            del sys.modules[key]
+        sys.modules.update(saved)
+    names = {mod_name for mod_name, _ in spans.TRACED} | set(spans.POOL_MODULES)
+    assert {f"palinradix.{name}" for name in names} <= loaded
 
 
 def test_scan_report_positional_fields():

@@ -6,7 +6,9 @@ import pathlib
 
 import pytest
 
+from palinradix import cli, palindrome
 from palinradix.cli import main
+from palinradix.palindrome import pow2_complete_scan
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -37,6 +39,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def fresh_parser():
+    """main() reuses the parser of its first call; this clears it before
+    and after the test, so that the test builds its own, for example after
+    patching build_parser or a cmd_* function."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
 
 
 class TestMinbase:
@@ -169,6 +181,37 @@ class TestScan:
         code, out, _ = run(capsys, "scan", "--pow2", "12", "--min-base", "64")
         assert code == 0
         assert "# scanned bases 64..64 (complete), 6 palindromic" in out
+
+    def test_min_base_scans_from_it(self, capsys, monkeypatch):
+        # --min-base reaches cli.pow2_complete_scan as lo: one kernel call
+        # from B to N - 1, not a complete scan from base 2
+        n_exp, lo = 50, 1 << 24
+        want = [
+            str(rec.rep.base) for rec in pow2_complete_scan(n_exp).records if rec.rep.base >= lo
+        ]
+        kernel, ranges, complete = palindrome._palindromic_bases, [], []
+        monkeypatch.setattr(
+            palindrome, "_palindromic_bases", lambda *args: ranges.append(args) or kernel(*args)
+        )
+        monkeypatch.setattr(
+            cli,
+            "pow2_complete_scan",
+            lambda *args, **kw: complete.append((args, kw)) or pow2_complete_scan(*args, **kw),
+        )
+        code, out, _ = run(
+            capsys, "scan", "--pow2", str(n_exp), "--min-base", str(lo), "--format", "csv"
+        )
+        assert code == 0
+        assert complete == [((n_exp,), {"min_digits": 2, "lo": lo})]
+        assert ranges == [(1 << n_exp, lo, (1 << n_exp) - 1, 2)]
+        assert [row[1] for row in list(csv.reader(io.StringIO(out)))[1:]] == want
+        # under a cap below B the kernel's range is empty, and still starts at B
+        monkeypatch.setenv("PALINRADIX_MAX_BASE", "100")
+        ranges.clear()
+        code, out, _ = run(capsys, "scan", "--pow2", "30", "--min-base", "1000")
+        assert code == 0
+        assert ranges == [(1 << 30, 1000, 100, 2)]
+        assert "# scanned bases 1000..32768 (partial (capped)), 0 palindromic" in out
 
     def test_min_digits(self, capsys):
         code, out, _ = run(
@@ -328,3 +371,34 @@ class TestParser:
 
     def test_unknown_flag(self, capsys):
         assert run(capsys, "scan", "--pow2", "5", "--format", "yaml")[0] == 2
+
+    def test_built_once_per_process(self, capsys, monkeypatch, fresh_parser):
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        for argv in (("table", "5"), ("scan", "--pow2", "5"), ("nope",), ("minbase", "2023")):
+            run(capsys, *argv)
+        assert len(builds) == 1
+
+    def test_reused_parser_answers_as_a_new_one(self, capsys, fresh_parser):
+        # a success, usage errors from argparse and from the commands,
+        # --help, then the success again: each call on the one parser
+        # answers as on a parser built for it alone
+        sequence = (
+            ("scan", "--pow2", "12", "--format", "csv"),
+            ("scan", "--pow2", "5", "--min-base", "1"),
+            ("nope",),
+            ("table", "9"),
+            ("--help",),
+            ("scan", "--pow2", "12", "--format", "csv"),
+        )
+        fresh = []
+        for argv in sequence:
+            cli._parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        cli._parser.cache_clear()
+        reused = [run(capsys, *argv) for argv in sequence]
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 2, 2, 2, 0, 0]
+        assert reused[0] == reused[-1] == (0, POW2_12_CSV, "")
+        assert "usage: palinradix" in reused[4][1]

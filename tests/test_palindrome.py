@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -307,6 +308,30 @@ class TestPow2CompleteScan:
         report = pow2_complete_scan(12)
         assert not report.exhaustive
         assert all(r.rep.base <= 30 for r in report.records)
+
+    @pytest.mark.parametrize("cap", [None, "100", "70000"])
+    @pytest.mark.parametrize("n_exp", [3, 5, 12, 20, 30, 36])
+    def test_lo_is_the_filtered_scan(self, monkeypatch, n_exp, cap):
+        # the scan from lo on is the scan from base 2 with the records below
+        # lo dropped, under a cap below, between and above the values of lo
+        if cap is not None:
+            monkeypatch.setenv("PALINRADIX_MAX_BASE", cap)
+        bound = max(complete_scan_bound(n_exp), 2)
+        los = {3, 4, 5, 7, 16, 31, 100, bound // 2, bound - 1, bound}
+        for min_digits in (1, 2, 3):
+            full = pow2_complete_scan(n_exp, min_digits)
+            for lo in sorted(b for b in los if 2 <= b <= bound):
+                kept = tuple(rec for rec in full.records if rec.rep.base >= lo)
+                want = replace(
+                    full,
+                    base_range=(lo, bound),
+                    records=kept,
+                    min_base=kept[0].rep.base if kept else None,
+                )
+                assert pow2_complete_scan(n_exp, min_digits, lo=lo) == want, (lo, min_digits)
+            for lo in (1, bound + 1):
+                with pytest.raises(ValueError, match="invalid base range"):
+                    pow2_complete_scan(n_exp, min_digits, lo=lo)
 
 
 # -- properties ---------------------------------------------------------------

@@ -351,14 +351,15 @@ def test_jobs_two_equals_one():
 # -- min_pal_base: bases up to iroot(n, 3) on the kernel ----------------------
 
 
-def test_min_pal_base_random_four_digit_hits(rng):
+def test_min_pal_base_random_four_digit_hits(rng, deadline):
     # random n whose b(n) gives n four or more digits, the kernel's part
     checked = 0
     while checked < 120:
         n = rng.randint(1, 10 ** rng.randint(1, 9))
         hits = oracle(n, 2, iroot(n, 3), 4)
         if hits:
-            b, digits = min_pal_base(n)
+            with deadline(30):
+                b, digits = min_pal_base(n)
             assert (b, digits.digits) == hits[0], n
             checked += 1
 
@@ -383,7 +384,7 @@ def planted(b, p, rng):
     )
 
 
-def test_min_pal_base_first_hit_on_edges(rng):
+def test_min_pal_base_first_hit_on_edges(rng, deadline):
     first_hits = dict.fromkeys(("band end", "band start", "run start", "run end"), 0)
     for _ in range(250):
         b = rng.randint(3, 1200)
@@ -393,7 +394,8 @@ def test_min_pal_base_first_hit_on_edges(rng):
             assert iroot(n, p) == b
         elif edge == "band start":
             assert iroot(n, p + 1) + 1 == b
-        got = min_pal_base(n)
+        with deadline(30):
+            got = min_pal_base(n)
         assert got == naive_min_pal_base(n), (n, b, edge)
         first_hits[edge] += got[0] == b
     # most planted palindromes are the first hit, on every kind of edge
@@ -1010,7 +1012,7 @@ def test_even_band_complete_windows(n, taken, divisor_runs):
     assert divisor_runs == ([n, n] if taken else [])
 
 
-def test_even_band_pow2_first_hits(divisor_runs):
+def test_even_band_pow2_first_hits(divisor_runs, deadline):
     # the b(2**n) of the frozen list that lie in an even band past 1024;
     # a band shorter than 16 * (n + 1) bases, 16 a divisor of 2**n, is
     # scanned, and so is every later one until one pays for divisors(2**n)
@@ -1024,14 +1026,15 @@ def test_even_band_pow2_first_hits(divisor_runs):
     taken = 0
     for n_exp, b, digits in rows:
         divisor_runs.clear()
-        got = min_pal_base(1 << n_exp)
+        with deadline(30):
+            got = min_pal_base(1 << n_exp)
         assert (got[0], got[1].digits) == (b, digits), n_exp
         assert divisor_runs in ([], [1 << n_exp]), n_exp
         taken += bool(divisor_runs)
     assert taken > len(rows) * 3 // 4
 
 
-def test_even_band_random_first_hits(rng, divisor_runs):
+def test_even_band_random_first_hits(rng, divisor_runs, deadline):
     # random (c, d, d, c)_b past 1024; every other n is split by trial
     # division to 200, so that the divisor path may take its band
     taken = 0
@@ -1043,7 +1046,8 @@ def test_even_band_random_first_hits(rng, divisor_runs):
             b = rng.randint(_EVEN_BAND_MIN + 1, 4000)
             n = rng.randint(1, b - 1) * (b**3 + 1) + rng.randint(0, b - 1) * (b * b + b)
         divisor_runs.clear()
-        assert min_pal_base(n) == naive_min_pal_base(n), n
+        with deadline(30):
+            assert min_pal_base(n) == naive_min_pal_base(n), n
         taken += divisor_runs == [n]
     assert taken >= 10
 
@@ -1374,11 +1378,12 @@ def hard_n(rng, root_lo, root_hi, count):
 
 
 @pytest.mark.parametrize("root_lo, root_hi", [(700, _EVEN_BAND_MIN - 1), (_EVEN_BAND_MIN, 1500)])
-def test_min_pal_base_two_digit_hits(root_lo, root_hi, rng, divisor_runs):
+def test_min_pal_base_two_digit_hits(root_lo, root_hi, rng, divisor_runs, deadline):
     # b(n) > isqrt(n), with isqrt(n) on either side of 1024
     for n in hard_n(rng, root_lo, root_hi, 12):
         divisor_runs.clear()
-        got = min_pal_base(n)
+        with deadline(30):
+            got = min_pal_base(n)
         assert got == naive_min_pal_base(n), n
         if math.isqrt(n) >= _EVEN_BAND_MIN:
             assert divisor_runs == [n], n
