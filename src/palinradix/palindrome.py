@@ -25,17 +25,14 @@ A scan is one kernel call over its whole range, in one process: the
 divisor steps take the long runs near isqrt(n) whole, so the cost of a
 complete scan lies almost all in its lowest bases (of 2**50's bases up
 to isqrt, the first eighth took 92% of the time), and a split of the
-range gains nothing from more processes.  The environment variable
-PALINRADIX_MAX_BASE, when set, caps the range of every scan,
-enumerate_palindromes and pow2_complete_scan alike: a capped report is
-the uncapped one cut off at the cap, and is non-exhaustive when the cap
-cut its range.  min_pal_base and the closed-form families ignore it.
+range gains nothing from more processes.  A scan covers exactly the base
+range its caller passes, which must end at or below the 2**63 - 1 cap on
+bases.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 # No scan starts workers; perfbench/spans.py swaps this name until ROADMAP item 6.
@@ -94,19 +91,6 @@ class ScanReport:
     records: tuple[PalindromeRecord, ...]
     min_base: int | None
     exhaustive: bool
-
-
-def _scan_cap() -> int | None:
-    raw = os.environ.get("PALINRADIX_MAX_BASE")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"PALINRADIX_MAX_BASE is not an integer: {raw!r}")
-    if cap < 2:
-        raise ValueError(f"PALINRADIX_MAX_BASE must be >= 2, got {cap}")
-    return cap
 
 
 # No window block is longer than this, so a search that stops at its first
@@ -370,10 +354,6 @@ def _palindromic_bases(
         yield Representation(x, (n,))
 
 
-def _scan_chunk(n: int, lo: int, hi: int, min_digits: int) -> list[PalindromeRecord]:
-    return [make_record(n, rep) for rep in _palindromic_bases(n, lo, hi, min_digits)]
-
-
 def enumerate_palindromes(
     n: int, b_lo: int, b_hi: int, min_digits: int = 2
 ) -> ScanReport:
@@ -381,9 +361,8 @@ def enumerate_palindromes(
     from one kernel call.
 
     min_digits defaults to 2, which excludes the trivial single-digit case
-    n < b; pass 1 to include it.  Under the PALINRADIX_MAX_BASE cap the
-    records are those with base <= cap, and the report is exhaustive
-    unless the cap cut the range.
+    n < b; pass 1 to include it.  The report covers exactly [b_lo, b_hi],
+    so it is always exhaustive.
     """
     if n < 1:
         raise ValueError(f"target must be >= 1, got {n}")
@@ -393,15 +372,15 @@ def enumerate_palindromes(
         raise ValueError(f"base bound {b_hi} exceeds the 2**63 - 1 cap")
     if min_digits < 1:
         raise ValueError(f"min_digits must be >= 1, got {min_digits}")
-    cap = _scan_cap()
-    hi = b_hi if cap is None else min(b_hi, cap)
-    records = _scan_chunk(n, b_lo, hi, min_digits)
+    records = tuple(
+        make_record(n, rep) for rep in _palindromic_bases(n, b_lo, b_hi, min_digits)
+    )
     return ScanReport(
         target=n,
         base_range=(b_lo, b_hi),
-        records=tuple(records),
+        records=records,
         min_base=records[0].rep.base if records else None,
-        exhaustive=hi == b_hi,
+        exhaustive=True,
     )
 
 
@@ -536,8 +515,8 @@ def pow2_complete_scan(n_exp: int, min_digits: int = 2, lo: int = 2) -> ScanRepo
     kernel takes the 2-digit palindromes from the divisors of N.  Bases
     past the 2**63 - 1 cap are not scanned, so from N = 2**64 on a report
     with 2-digit palindromes is not exhaustive: (1,1)_{N-1} lies past it.
-    Nor is a report whose range PALINRADIX_MAX_BASE cut.  The report's
-    base_range is (lo, max(complete_scan_bound, 2)), and lo must lie in it.
+    The report's base_range is (lo, max(complete_scan_bound, 2)), and lo
+    must lie in it.
     """
     if n_exp < 1:
         raise ValueError(f"exponent must be >= 1, got {n_exp}")
@@ -550,8 +529,4 @@ def pow2_complete_scan(n_exp: int, min_digits: int = 2, lo: int = 2) -> ScanRepo
     # base 2 reads 2**1 as (1,0), so the range [2, 2] stands in for none;
     # a bound past the base cap raises in enumerate_palindromes
     report = enumerate_palindromes(n, lo, max(bound, min(last, MAX_BASE)), min_digits)
-    return replace(
-        report,
-        base_range=(lo, bound),
-        exhaustive=report.exhaustive and last <= MAX_BASE,
-    )
+    return replace(report, base_range=(lo, bound), exhaustive=last <= MAX_BASE)

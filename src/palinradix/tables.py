@@ -14,7 +14,7 @@ import json
 from typing import NamedTuple
 
 from .binomial import classify_binomial
-from .palindrome import _scan_chunk, complete_scan_bound, min_pal_base
+from .palindrome import min_pal_base, pow2_complete_scan
 from .radix import Representation, is_palindrome, split_common_factor, to_digits
 
 PRIMES_TO_29 = (3, 5, 7, 11, 13, 17, 19, 23, 29)
@@ -67,14 +67,13 @@ def table1_rows(n_max: int = 100) -> list[Table1Row]:
 def table2_rows(n_max: int = 20) -> list[Table2Row]:
     """Non-binomial 3-digit palindromes 2**n = (c,d,c)_b for n <= n_max.
 
-    They are the 3-digit records of the scan of bases 2..isqrt(2**n): the
-    kernel call of enumerate_palindromes, without its PALINRADIX_MAX_BASE
-    cap, which the tables ignore.
+    They are the 3-digit records of the complete scan of 2**n from three
+    digits on, over the bases 2..max(isqrt(2**n), 2).
     """
     return [
         Table2Row(n, rec.rep.base, *rec.rep.digits[:2])
         for n in range(1, n_max + 1)
-        for rec in _scan_chunk(1 << n, 2, complete_scan_bound(n), 3)
+        for rec in pow2_complete_scan(n, min_digits=3).records
         if rec.digit_count == 3 and rec.binomial is None
     ]
 

@@ -144,6 +144,9 @@ class ConjectureReport:
 # for that sweep on 2 workers, which puts those exponents in the last one or
 # two chunks; small chunks keep every worker busy to the end.
 _SWEEP_CHUNK = 4
+# Conjecture (d)'s census counts the exponents whose b(2**n) is each base
+# from 2 to this one.
+_CENSUS_MAX_BASE = 31
 
 
 def _pow2_minbase(n: int) -> tuple[int, int, tuple[int, ...]]:
@@ -195,9 +198,7 @@ def _minbase_reports(
     ]
 
 
-def check_conjectures(
-    n_max: int, extra_base_budget: int = 31, jobs: int = 1
-) -> list[ConjectureReport]:
+def check_conjectures(n_max: int, jobs: int = 1) -> list[ConjectureReport]:
     """Desk-scale evidence for the five open questions about b(2**n).
 
     (a) b(2**n) = 2**x - 1; (b) the minimal representation has binomial
@@ -224,13 +225,13 @@ def check_conjectures(
             "count": len(hits),
             "exponents": hits,
         }
-        for b in range(2, extra_base_budget + 1)
+        for b in range(2, _CENSUS_MAX_BASE + 1)
         if (hits := tuple(n for n in exponents if minbase[n][0] == b))
     )
     reports.append(
         ConjectureReport(
             "d",
-            f"bases 2..{extra_base_budget} over n = 1..{n_max}",
+            f"bases 2..{_CENSUS_MAX_BASE} over n = 1..{n_max}",
             ConjectureVerdict.INCONCLUSIVE,
             census,
         )

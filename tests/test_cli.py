@@ -205,13 +205,6 @@ class TestScan:
         assert complete == [((n_exp,), {"min_digits": 2, "lo": lo})]
         assert ranges == [(1 << n_exp, lo, (1 << n_exp) - 1, 2)]
         assert [row[1] for row in list(csv.reader(io.StringIO(out)))[1:]] == want
-        # under a cap below B the kernel's range is empty, and still starts at B
-        monkeypatch.setenv("PALINRADIX_MAX_BASE", "100")
-        ranges.clear()
-        code, out, _ = run(capsys, "scan", "--pow2", "30", "--min-base", "1000")
-        assert code == 0
-        assert ranges == [(1 << 30, 1000, 100, 2)]
-        assert "# scanned bases 1000..32768 (partial (capped)), 0 palindromic" in out
 
     def test_min_digits(self, capsys):
         code, out, _ = run(
@@ -222,11 +215,19 @@ class TestScan:
         assert len(rows) == 5
         assert all(int(r[4]) >= 3 for r in rows)
 
-    def test_env_cap_reports_partial(self, capsys, monkeypatch):
+    def test_max_base_env_var_has_no_effect(self, capsys, monkeypatch):
+        # a scan covers the range its caller passes: PALINRADIX_MAX_BASE,
+        # which once capped every scan, changes no output
+        monkeypatch.delenv("PALINRADIX_MAX_BASE", raising=False)
+        argvs = [("scan", "--pow2", "12"), ("scan", "--pow2", "12", "--format", "csv")]
+        want = [run(capsys, *argv) for argv in argvs]
+        report = palindrome.enumerate_palindromes(1 << 12, 2, 64)
         monkeypatch.setenv("PALINRADIX_MAX_BASE", "40")
-        code, out, _ = run(capsys, "scan", "--pow2", "12")
-        assert code == 0
-        assert "partial (capped)" in out
+        assert [run(capsys, *argv) for argv in argvs] == want
+        assert "(complete), 11 palindromic" in want[0][1]
+        assert want[1][1] == POW2_12_CSV
+        assert palindrome.enumerate_palindromes(1 << 12, 2, 64) == report
+        assert report.exhaustive and report.records[-1].rep.base == 63
 
     @pytest.mark.parametrize(
         "argv",

@@ -107,22 +107,6 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_palindromes(7, 2, 10, min_digits=0)
 
-    def test_env_cap_truncates(self, monkeypatch):
-        monkeypatch.setenv("PALINRADIX_MAX_BASE", "50")
-        report = enumerate_palindromes(1 << 12, 2, 64)
-        assert not report.exhaustive
-        assert all(r.rep.base <= 50 for r in report.records)
-        uncapped = enumerate_palindromes(1 << 12, 2, 50)
-        assert report.records == uncapped.records
-
-    def test_env_cap_validation(self, monkeypatch):
-        monkeypatch.setenv("PALINRADIX_MAX_BASE", "zebra")
-        with pytest.raises(ValueError):
-            enumerate_palindromes(100, 2, 10)
-        monkeypatch.setenv("PALINRADIX_MAX_BASE", "1")
-        with pytest.raises(ValueError):
-            enumerate_palindromes(100, 2, 10)
-
 
 class TestRecordInvariants:
     def test_make_record_flags(self):
@@ -303,32 +287,35 @@ class TestPow2CompleteScan:
         with pytest.raises(ValueError, match="min_digits must be >= 1"):
             pow2_complete_scan(n_exp, min_digits=min_digits)
 
-    def test_env_cap(self, monkeypatch):
-        monkeypatch.setenv("PALINRADIX_MAX_BASE", "30")
-        report = pow2_complete_scan(12)
-        assert not report.exhaustive
-        assert all(r.rep.base <= 30 for r in report.records)
-
-    @pytest.mark.parametrize("cap", [None, "100", "70000"])
+    @pytest.mark.parametrize("hi", [None, 100, 70000])
     @pytest.mark.parametrize("n_exp", [3, 5, 12, 20, 30, 36])
-    def test_lo_is_the_filtered_scan(self, monkeypatch, n_exp, cap):
+    def test_lo_is_the_filtered_scan(self, n_exp, hi):
         # the scan from lo on is the scan from base 2 with the records below
-        # lo dropped, under a cap below, between and above the values of lo
-        if cap is not None:
-            monkeypatch.setenv("PALINRADIX_MAX_BASE", cap)
+        # lo dropped; a scan of the explicit range [lo, hi], for hi below,
+        # between and above the values of lo, also drops those past hi
         bound = max(complete_scan_bound(n_exp), 2)
         los = {3, 4, 5, 7, 16, 31, 100, bound // 2, bound - 1, bound}
         for min_digits in (1, 2, 3):
             full = pow2_complete_scan(n_exp, min_digits)
             for lo in sorted(b for b in los if 2 <= b <= bound):
                 kept = tuple(rec for rec in full.records if rec.rep.base >= lo)
+                if hi is None:
+                    got, base_range = pow2_complete_scan(n_exp, min_digits, lo=lo), (lo, bound)
+                else:
+                    # past N - 1 every base reads 2**n as (1, 0) or one digit
+                    top = min(hi, (1 << n_exp) - 1)
+                    if lo > top:
+                        continue
+                    kept = tuple(rec for rec in kept if rec.rep.base <= top)
+                    got = enumerate_palindromes(1 << n_exp, lo, top, min_digits)
+                    base_range = (lo, top)
                 want = replace(
                     full,
-                    base_range=(lo, bound),
+                    base_range=base_range,
                     records=kept,
                     min_base=kept[0].rep.base if kept else None,
                 )
-                assert pow2_complete_scan(n_exp, min_digits, lo=lo) == want, (lo, min_digits)
+                assert got == want, (lo, min_digits)
             for lo in (1, bound + 1):
                 with pytest.raises(ValueError, match="invalid base range"):
                     pow2_complete_scan(n_exp, min_digits, lo=lo)

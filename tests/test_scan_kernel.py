@@ -414,19 +414,21 @@ def test_first_hit_stops_inside_a_long_run(deadline):
     assert (first.base, first.digits) == oracle(n, b - 5, b, 4)[0]
 
 
-def test_min_pal_base_pow2_frozen():
+def test_min_pal_base_pow2_frozen(deadline):
     # b(2**n) for n <= 200, frozen from the per-base oracle by
     # scripts/freeze_goldens.py; for n >= 150 the hit lies at bases
-    # 2**15 - 1 .. 2**18 - 1, where 2**n has 10 to 13 digits
+    # 2**15 - 1 .. 2**18 - 1, where 2**n has 10 to 13 digits.  A search
+    # that loses its hit fails at the deadline instead of hanging
     with open(DATA_DIR / "pow2_minbase.csv", encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [int(r["n"]) for r in rows] == list(range(1, 201))
     for r in rows:
-        b, rep = min_pal_base(1 << int(r["n"]))
+        with deadline(30):
+            b, rep = min_pal_base(1 << int(r["n"]))
         assert (b, rep.digits) == (int(r["b"]), tuple(map(int, r["digits"].split()))), r
 
 
-def test_min_pal_base_pow2_extension():
+def test_min_pal_base_pow2_extension(deadline):
     # b(2**n) for n = 201..400, kernel output written by
     # scripts/pow2_minbase_sweep.py: each row reads 2**n as a palindrome of
     # binomial form in a base 2**x - 1, and no base 2**y - 1 with y < x
@@ -447,8 +449,9 @@ def test_min_pal_base_pow2_extension():
         assert (b + 1) & b == 0, n
         x = b.bit_length()
         assert not any(is_palindrome(to_digits(1 << n, (1 << y) - 1)) for y in range(2, x))
-    for n in (256, 289, 324, 361, 400):
-        b, rep = min_pal_base(1 << n)
+    with deadline(60):
+        found = {n: min_pal_base(1 << n) for n in (256, 289, 324, 361, 400)}
+    for n, (b, rep) in found.items():
         assert (b, rep.digits) == rows[n]
 
 
@@ -1230,7 +1233,7 @@ def test_even_band_block_min_edge(divisor_runs):
         assert divisor_runs == ([n] if taken else []), (lo, hi)
 
 
-def test_even_band_off_past_mr_limit(divisor_runs):
+def test_even_band_off_past_mr_limit(divisor_runs, deadline):
     # 3000**9 + 1 = (1, 0, ..., 0, 1)_3000 has a composite cofactor past the
     # Miller-Rabin bound once trial division is done: the even bands are
     # scanned, divisors(n) is never called and nothing raises
@@ -1238,7 +1241,9 @@ def test_even_band_off_past_mr_limit(divisor_runs):
     m = _trial_divide(n)[1]
     assert m >= _MR_LIMIT and m % (613 * 1129) == 0  # 13 * 613 * 1129 = b*b - b + 1
     assert palindrome._divisors_within(n, 10**12) is None
-    assert min_pal_base(n) == naive_min_pal_base(n)
+    with deadline(30):
+        found = min_pal_base(n)
+    assert found == naive_min_pal_base(n)
     for first, last in even_bands(n):
         lo, hi = max(first - 5, 2), min(last + 5, first + 2000)
         assert scan(n, lo, hi, 2) == oracle(n, lo, hi, 2), (lo, hi)
@@ -1318,36 +1323,28 @@ def test_pow2_complete_scan_two_digit_part(monkeypatch, divisor_runs):
     divisor_runs.clear()
     pow2_complete_scan(40)
     assert divisor_runs.count(1 << 40) == 1
-    # under PALINRADIX_MAX_BASE = C every scan reports the uncapped records
-    # with base <= C, and is exhaustive unless C cut its range; from 2**64
-    # on, pow2_complete_scan is not, since bases stop at 2**63 - 1.  The
-    # uncapped records of 2**64 and 2**65 come from the oracle, for caps
-    # below isqrt(N): a complete scan of them takes seconds.
-    for n_exp, caps in (
+    # a scan of the explicit range [2, C] holds the complete scan's records
+    # with base <= C, and is exhaustive.  The records of 2**64 and 2**65
+    # come from the oracle, for C below isqrt(N): a complete scan of them
+    # takes seconds.
+    for n_exp, his in (
         (12, (30, 64, 65, 1000, 4094, 4095, 5000)),  # isqrt 64, N - 1 = 4095
         (40, (5000, 1 << 20, (1 << 20) + 1, 1 << 30, (1 << 40) - 1)),
         (64, (1000, 5000)),
         (65, (1000, 5000)),
     ):
-        n, top = 1 << n_exp, min((1 << n_exp) - 1, palindrome.MAX_BASE)
+        n = 1 << n_exp
         if n_exp < 64:
             full = [(r.rep.base, r.rep.digits) for r in pow2_complete_scan(n_exp).records]
-        for cap in caps:
-            want = oracle(n, 2, cap, 2) if n_exp >= 64 else [h for h in full if h[0] <= cap]
-            monkeypatch.setenv("PALINRADIX_MAX_BASE", str(cap))
-            report = pow2_complete_scan(n_exp)
-            assert [(r.rep.base, r.rep.digits) for r in report.records] == want, cap
-            assert report.base_range == (2, math.isqrt(n))
-            assert report.exhaustive == (cap >= n - 1 and n - 1 <= palindrome.MAX_BASE)
-            # with three digits or more the range ends at isqrt(N)
-            three = pow2_complete_scan(n_exp, min_digits=3)
+        for hi in his:
+            want = oracle(n, 2, hi, 2) if n_exp >= 64 else [h for h in full if h[0] <= hi]
+            report = enumerate_palindromes(n, 2, hi)
+            assert [(r.rep.base, r.rep.digits) for r in report.records] == want, hi
+            assert report.base_range == (2, hi) and report.exhaustive, hi
+            three = enumerate_palindromes(n, 2, hi, 3)
             assert three.records == tuple(r for r in report.records if r.digit_count >= 3)
-            assert three.exhaustive == (cap >= math.isqrt(n)), cap
-            scanned = enumerate_palindromes(n, 2, top)
-            assert scanned.records == report.records, cap
-            assert scanned.exhaustive == (cap >= top), cap
-            monkeypatch.delenv("PALINRADIX_MAX_BASE")
-    # uncapped, the scan of 2**64 and up stops at 2**63 - 1 and is not
+            assert three.exhaustive, hi
+    # the complete scan of 2**64 and up stops at 2**63 - 1 and is not
     # exhaustive; the kernel is stubbed, as those complete scans take seconds
     ranges = []
     monkeypatch.setattr(

@@ -67,12 +67,6 @@ class TestTableReproduction:
     def test_table2(self):
         assert [tuple(r) for r in table2_rows()] == G.TABLE2_ROWS
 
-    def test_table2_ignores_scan_cap(self, monkeypatch):
-        # table 2 reads the scan kernel, but the tables ignore the cap that
-        # bounds enumerate_palindromes: its rows reach base 825
-        monkeypatch.setenv("PALINRADIX_MAX_BASE", "40")
-        assert [tuple(r) for r in table2_rows()] == G.TABLE2_ROWS
-
     def test_table3(self):
         assert [tuple(r) for r in table3_rows()] == G.TABLE3_ROWS
 
