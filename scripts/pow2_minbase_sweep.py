@@ -7,12 +7,13 @@ as a palindrome, and re-derive conjectures (a)-(c) on every row it holds.
 
 The checkpoint has the columns n,b,digits of tests/data/pow2_minbase.csv,
 the digits most significant first and space-separated, one row per n in
-ascending order; lines that start with # are comments.  A missing file is
-created, starting at --min-n (default 1), with a first line that labels
-its rows as kernel output: they come from palindrome.min_pal_base, not
-from a per-base oracle.  An existing file resumes after its last row; a
-last line cut short by an interrupted run is dropped and computed again.
-Each row is flushed as soon as it is computed.
+ascending order; lines that start with # are comments.  A row whose
+digits do not write 2**n as a palindrome in base b is a usage error.  A
+missing file is created, starting at --min-n (default 1), with a first
+line that labels its rows as kernel output: they come from
+palindrome.min_pal_base, not from a per-base oracle.  An existing file
+resumes after its last row; a last line cut short by an interrupted run is
+dropped and computed again.  Each row is flushed as soon as it is computed.
 
 The conjectures, as in `palinradix conjectures`: (a) b(2**n) = 2**x - 1,
 (b) the representation has binomial form, (c) b(2**(a*a)) = 2**a - 1 for
@@ -28,7 +29,7 @@ import sys
 import time
 
 from palinradix.palindrome import min_pal_base
-from palinradix.radix import Representation
+from palinradix.radix import Representation, from_digits, is_palindrome
 from palinradix.theorems import ConjectureVerdict, _minbase_reports
 
 HEADER = "n,b,digits\n"
@@ -39,22 +40,30 @@ LABEL = (
 
 
 def read_checkpoint(path: pathlib.Path) -> dict[int, tuple[int, Representation]]:
-    """The rows of the checkpoint, n -> (b, representation); a last line
-    without its newline, cut short by an interrupted run, is dropped from
-    the file."""
+    """The rows of the checkpoint, n -> (b, representation).
+
+    Each row must write 2**n as a palindrome in base b; one that does not
+    is bad input, while one whose base or digits break a conjecture is a
+    counterexample for the reports.  A last line without its newline, cut
+    short by an interrupted run, is dropped from the file once the rest has
+    been read.
+    """
     text = path.read_text(encoding="ascii")
-    if not text.endswith("\n"):
-        text = text[: text.rfind("\n") + 1]
-        path.write_text(text, encoding="ascii")
-    lines = [line for line in text.splitlines() if not line.startswith("#")]
+    kept = text[: text.rfind("\n") + 1]
+    lines = [line for line in kept.splitlines() if not line.startswith("#")]
     if lines[:1] != [HEADER.strip()]:
         raise ValueError(f"{path}: the header is not {HEADER.strip()}")
     rows = {}
     for line in lines[1:]:
         n, b, digits = line.split(",")
-        rows[int(n)] = (int(b), Representation(int(b), tuple(map(int, digits.split()))))
+        n, rep = int(n), Representation(int(b), tuple(map(int, digits.split())))
+        if from_digits(rep) != 1 << n or not is_palindrome(rep):
+            raise ValueError(f"{path}: row {line} is not a palindrome of 2**{n}")
+        rows[n] = (rep.base, rep)
     if rows and list(rows) != list(range(min(rows), max(rows) + 1)):
         raise ValueError(f"{path}: the rows are not consecutive exponents")
+    if kept != text:
+        path.write_text(kept, encoding="ascii")
     return rows
 
 

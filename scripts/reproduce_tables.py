@@ -11,7 +11,7 @@ import argparse
 import pathlib
 import sys
 
-from palinradix.tables import TABLE_IDS, render, render_csv
+from palinradix.tables import TABLE_IDS, render
 
 DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "tests" / "data"
 
@@ -35,7 +35,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.no_check:
             continue
         frozen = (DATA_DIR / f"table{table_id}.csv").read_text(encoding="utf-8")
-        if render_csv(table_id) == frozen:
+        if render(table_id, "csv") == frozen:
             print(f"--- table {table_id}: matches frozen snapshot", file=sys.stderr)
         else:
             print(f"--- table {table_id}: MISMATCH against snapshot", file=sys.stderr)

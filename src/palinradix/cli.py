@@ -213,11 +213,13 @@ def cmd_table(args: argparse.Namespace) -> int:
                     )
                     break
             else:
-                print(
-                    f"golden mismatch: {len(got)} lines computed, "
-                    f"{len(want)} expected",
-                    file=sys.stderr,
-                )
+                if len(got) != len(want):
+                    detail = f"{len(got)} lines computed, {len(want)} expected"
+                elif rendered.endswith("\n") != expected.endswith("\n"):
+                    detail = "the final newline differs"
+                else:
+                    detail = "the line endings differ"
+                print(f"golden mismatch: {detail}", file=sys.stderr)
             return 3
         print(f"golden match: {args.golden}", file=sys.stderr)
     return 0

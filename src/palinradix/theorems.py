@@ -149,6 +149,13 @@ _SWEEP_CHUNK = 4
 _CENSUS_MAX_BASE = 31
 
 
+def _report(conjecture_id: str, range_tested: str, bad: tuple) -> ConjectureReport:
+    """HOLDS when the sweep found no counterexample, else COUNTEREXAMPLE with
+    the counterexamples in bad as its witnesses."""
+    verdict = ConjectureVerdict.COUNTEREXAMPLE if bad else ConjectureVerdict.HOLDS
+    return ConjectureReport(conjecture_id, range_tested, verdict, bad)
+
+
 def _pow2_minbase(n: int) -> tuple[int, int, tuple[int, ...]]:
     b, rep = min_pal_base(1 << n)
     return n, b, rep.digits
@@ -162,13 +169,8 @@ def _minbase_reports(
     tested at every a >= 2 with a*a among them."""
     n_lo, n_hi = min(minbase), max(minbase)
     a_lo, a_hi = max(2, math.isqrt(n_lo - 1) + 1), math.isqrt(n_hi)
-
-    def report(conjecture_id: str, range_tested: str, bad: tuple) -> ConjectureReport:
-        verdict = ConjectureVerdict.COUNTEREXAMPLE if bad else ConjectureVerdict.HOLDS
-        return ConjectureReport(conjecture_id, range_tested, verdict, bad)
-
     return [
-        report(
+        _report(
             "a",
             f"n = {n_lo}..{n_hi}",
             tuple(
@@ -177,7 +179,7 @@ def _minbase_reports(
                 if (b + 1) & b != 0
             ),
         ),
-        report(
+        _report(
             "b",
             f"n = {n_lo}..{n_hi}",
             tuple(
@@ -186,7 +188,7 @@ def _minbase_reports(
                 if classify_binomial(rep) is None
             ),
         ),
-        report(
+        _report(
             "c",
             f"a = {a_lo}..{a_hi}",
             tuple(
@@ -242,12 +244,5 @@ def check_conjectures(n_max: int, jobs: int = 1) -> list[ConjectureReport]:
         for n in exponents
         if is_palindrome(rep := to_digits(1 << n, 3)) != (n <= 4)
     )
-    reports.append(
-        ConjectureReport(
-            "e",
-            f"n = 1..{n_max} in base 3",
-            ConjectureVerdict.COUNTEREXAMPLE if bad else ConjectureVerdict.HOLDS,
-            bad,
-        )
-    )
+    reports.append(_report("e", f"n = 1..{n_max} in base 3", bad))
     return reports

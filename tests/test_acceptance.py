@@ -60,7 +60,7 @@ def criterion(num, label, budget=None):
 
 def test_criterion_1_minimal_bases():
     with criterion(1, "minimal bases b(1..100) incl. red set", budget=1.0):
-        rows = table1_rows(100)
+        rows = table1_rows()
         assert [r.b for r in rows] == G.TABLE1_MIN_BASES
         red = {r.n for r in rows if r.b == r.n - 1}
         assert red == G.TABLE1_RED
@@ -68,7 +68,7 @@ def test_criterion_1_minimal_bases():
 
 def test_criterion_2_pow2_minimal_representations():
     with criterion(2, "b(2^n) and full representations, n = 1..64", budget=10.0):
-        rows = table3_rows(64)
+        rows = table3_rows()
         assert [tuple(r) for r in rows] == G.TABLE3_ROWS
         # re-derive each digit tuple independently of the display strings
         for n, k, x, r, b, display in G.TABLE3_ROWS:
@@ -84,12 +84,12 @@ def test_criterion_2_pow2_minimal_representations():
 
 def test_criterion_3_nonbinomial_three_digit_rows():
     with criterion(3, "non-binomial 3-digit rows for n <= 20", budget=30.0):
-        assert [tuple(r) for r in table2_rows(20)] == G.TABLE2_ROWS
+        assert [tuple(r) for r in table2_rows()] == G.TABLE2_ROWS
 
 
 def test_criterion_4_prime_power_table():
     with criterion(4, "prime-power representations p^n < 2^30", budget=60.0):
-        rows = table4_rows(1 << 30)
+        rows = table4_rows()
         assert [tuple(r) for r in rows] == G.TABLE4_ROWS
         flagged = {(p, n) for p, n, _, _, binom in G.TABLE4_ROWS if not binom}
         assert (3, 7) in flagged and (7, 6) in flagged
@@ -97,7 +97,7 @@ def test_criterion_4_prime_power_table():
 
 def test_criterion_5_base3_column():
     with criterion(5, "base-3 digits of 2^n, n <= 30", budget=1.0):
-        rows = table5_rows(30)
+        rows = table5_rows()
         assert [tuple(r) for r in rows] == G.TABLE5_ROWS
         assert {r.n for r in rows if r.palindromic} == {1, 2, 3, 4}
 

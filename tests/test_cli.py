@@ -268,6 +268,36 @@ class TestTable:
         assert code == 3
         assert "golden mismatch at line" in err
 
+    @pytest.mark.parametrize(
+        "doctor, detail",
+        [
+            (lambda text: text[:-1], "the final newline differs"),
+            (lambda text: text.replace("\n", "\f", 1), "the line endings differ"),
+        ],
+        ids=["final-newline", "line-break"],
+    )
+    def test_golden_mismatch_between_lines(self, capsys, tmp_path, doctor, detail):
+        # every line matches, so only the line breaks can name the difference
+        doctored = tmp_path / "table5.csv"
+        fixture = (DATA_DIR / "table5.csv").read_text("utf-8")
+        doctored.write_text(doctor(fixture), "utf-8")
+        code, _, err = run(
+            capsys, "table", "5", "--format", "csv", "--golden", str(doctored)
+        )
+        assert code == 3
+        assert err == f"golden mismatch: {detail}\n"
+
+    def test_golden_crlf_copy_matches(self, capsys, tmp_path):
+        # the golden is read as text, so its line endings are normalised
+        crlf = tmp_path / "table5.csv"
+        fixture = (DATA_DIR / "table5.csv").read_bytes()
+        crlf.write_bytes(fixture.replace(b"\n", b"\r\n"))
+        code, _, err = run(
+            capsys, "table", "5", "--format", "csv", "--golden", str(crlf)
+        )
+        assert code == 0
+        assert "golden match" in err
+
     def test_golden_missing_file(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "table", "5", "--golden", str(tmp_path / "nope.csv")

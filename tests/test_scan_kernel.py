@@ -16,7 +16,7 @@ import pytest
 from palinradix import palindrome
 from palinradix.binomial import classify_binomial
 from palinradix.radix import Representation, from_digits, is_palindrome, to_digits
-from palinradix.tables import render_csv
+from palinradix.tables import render
 from palinradix.numtheory import (
     _MR_LIMIT,
     _brent_rho,
@@ -910,7 +910,7 @@ def test_sieve_window_spans_segments(monkeypatch, sieve_calls, divisor_runs):
 def test_small_scans_do_not_sieve(sieve_calls):
     # table 2's scans (2**n, n <= 20) and min_pal_base never make a sieve:
     # their runs hold too few bases to pay for one
-    render_csv(2)
+    render(2, "csv")
     for n_exp in range(1, 21):
         pow2_complete_scan(n_exp)
     for n in (10**11 + 3, 963761198400, 1 << 44):

@@ -64,8 +64,9 @@ class TestPow2MinbaseSweep:
         assert "(a) n = 201..205: holds" in capsys.readouterr().out
 
     def test_counterexample_exits_3(self, tmp_path, capsys, sweep):
+        # 2**2 = (4)_5 is a palindrome in a base not of the form 2**x - 1
         path = tmp_path / "ckpt.csv"
-        path.write_text("n,b,digits\n1,3,2\n2,5,1 2 1\n")
+        path.write_text("n,b,digits\n1,3,2\n2,5,4\n")
         assert sweep.main([str(path), "--max-n", "2"]) == 3
         out = capsys.readouterr().out
         assert "(a) n = 1..2: counterexample" in out
@@ -81,6 +82,29 @@ class TestPow2MinbaseSweep:
             sweep.main([str(path), "--max-n", "4"])
         assert exc.value.code == 2
         assert path.read_text() == text
+
+    @pytest.mark.parametrize("row", ["5,7,1 1\n", "5,5,1 1 2\n"])
+    def test_row_not_a_palindrome_of_2_to_the_n(self, tmp_path, capsys, sweep, row):
+        # (1,1)_7 is 8, and (1,1,2)_5 is 32 but not a palindrome: the run
+        # stops before the reports, and the file stays as it was, its last
+        # line cut short included
+        frozen = (DATA / "pow2_minbase.csv").read_text().splitlines(keepends=True)
+        path = tmp_path / "ckpt.csv"
+        path.write_text("".join(frozen[:5]) + row + "6,7,1 2")
+        text = path.read_text()
+        with pytest.raises(SystemExit) as exc:
+            sweep.main([str(path), "--max-n", "6"])
+        assert exc.value.code == 2
+        assert "is not a palindrome of 2**5" in capsys.readouterr().err
+        assert path.read_text() == text
+
+    @pytest.mark.parametrize(
+        "name, first", [("pow2_minbase.csv", 1), ("pow2_minbase_ext.csv", 201)]
+    )
+    def test_frozen_checkpoints_load(self, tmp_path, sweep, name, first):
+        path = tmp_path / name
+        path.write_bytes((DATA / name).read_bytes())
+        assert list(sweep.read_checkpoint(path)) == list(range(first, first + 200))
 
 
 def test_reproduce_tables_match(capsys):

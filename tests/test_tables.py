@@ -1,15 +1,15 @@
+import hashlib
 import json
 import pathlib
 
 import pytest
 
 import golden_data as G
+from palinradix import tables
+from palinradix.radix import Representation
 from palinradix.tables import (
     TABLE_IDS,
     render,
-    render_csv,
-    render_json,
-    render_text,
     table1_rows,
     table2_rows,
     table3_rows,
@@ -18,6 +18,27 @@ from palinradix.tables import (
 )
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
+
+# SHA-256 of every rendering, (table id, format) -> hex digest.  Only the
+# csv renderings have golden files; these pin text and json byte for byte
+# as well.
+RENDER_SHA256 = {
+    (1, "text"): "ec1955284f816caacbbe48a7092942ca7f4a31470514317ec4df2ae7dc056043",
+    (1, "csv"): "cb6493f2dc71b337051a17698d4c3a9473d64a5b2a89216aa51e9726a4a3e07b",
+    (1, "json"): "ec505e0cb9c7e4a315aa455979817357cc3f0c367dfdeb069f4e59eac45ce30d",
+    (2, "text"): "949d94fd6b9c485f8617720b8f1e775574fd5306bee5babf7361c1d6fb4b054f",
+    (2, "csv"): "5e3e600d67716f5d0d901ee1afec89d2099772bbb79249efd8a79039bcedfa95",
+    (2, "json"): "14bc2fbafd3083b161665113c6a293d8c4566292b9dc293d143fb71a0f16f047",
+    (3, "text"): "9c5a54754231399e205c4b1f7e73e384c615ce7a3d03ec0ed06e77aeee952af3",
+    (3, "csv"): "98ecf82d404e41856da7f3dab74d0882e68d069398e13f0d1f99639f97ab3f39",
+    (3, "json"): "45d6f9dfbcbe09122a24d93d518bcbe8693afca7878ee4fdb3db52962851d77e",
+    (4, "text"): "f6d487d83334cfa0ccc43834456effc12e57d3ed88abb181052b74dc489f7cd3",
+    (4, "csv"): "d5934938a7a0f8b8dedb2760bd71a375f619b01b60d76e81d14c6251c9df5550",
+    (4, "json"): "953309b2c23203b321803751fbf88b7e70656a9bfb68e1b9f2680967aa58c6ca",
+    (5, "text"): "5a987b377ff0d03e07561eb789b673d4395ff2f31b4294ea74bfbbf924017336",
+    (5, "csv"): "5ce617427715500b7b9b07a1e503995b1ed32475cd77bcd4e1c074e20ac324a5",
+    (5, "json"): "0616e58420d93b19acc11e1db9a6586643f6eced30e368bd2505c34d26be1a92",
+}
 
 
 class TestGoldenTranscriptions:
@@ -76,16 +97,30 @@ class TestTableReproduction:
     def test_table5(self):
         assert [tuple(r) for r in table5_rows()] == G.TABLE5_ROWS
 
+    @pytest.mark.parametrize("base, digits", [(19, (11, 6, 11)), (5, (2,))])
+    def test_table3_stops_on_a_non_binomial_minimum(self, monkeypatch, base, digits):
+        # (11,6,11)_19 = 2**12 is not binomial; (2)_5 is binomial of degree
+        # 0, but 5 is not of the form 2**x - 1, so x and r are undefined
+        rep = Representation(base, digits)
+        monkeypatch.setattr(tables, "min_pal_base", lambda value: (base, rep))
+        with pytest.raises(AssertionError, match="not binomial"):
+            table3_rows()
+
 
 class TestRenderers:
+    @pytest.mark.parametrize("table_id, fmt", sorted(RENDER_SHA256))
+    def test_rendering_is_pinned(self, table_id, fmt):
+        digest = hashlib.sha256(render(table_id, fmt).encode()).hexdigest()
+        assert digest == RENDER_SHA256[table_id, fmt]
+
     @pytest.mark.parametrize("table_id", TABLE_IDS)
     def test_csv_matches_frozen_fixture(self, table_id):
         fixture = (DATA_DIR / f"table{table_id}.csv").read_text(encoding="utf-8")
-        assert render_csv(table_id) == fixture
+        assert render(table_id, "csv") == fixture
 
     @pytest.mark.parametrize("table_id", TABLE_IDS)
     def test_json_structure(self, table_id):
-        doc = json.loads(render_json(table_id))
+        doc = json.loads(render(table_id, "json"))
         assert doc["table"] == table_id
         assert len(doc["rows"]) > 0
         fixture_lines = (
@@ -96,7 +131,7 @@ class TestRenderers:
         assert len(doc["rows"]) == len(fixture_lines) - 1
 
     def test_grid_layout(self):
-        lines = render_text(1).splitlines()
+        lines = render(1).splitlines()
         assert len(lines) == 12  # header + rows 0, 10, ..., 100
         assert lines[0].split() == [str(j) for j in range(10)]
         # row "   10" starts at N = 10 whose entry sits in column j = 0
@@ -105,20 +140,17 @@ class TestRenderers:
         assert lines[-1].split() == ["100", "3"]
 
     def test_text_table_alignment(self):
-        lines = render_text(2).splitlines()
+        lines = render(2).splitlines()
         assert len(lines) == 1 + len(G.TABLE2_ROWS)
         assert lines[0].split() == ["n", "b", "c", "d"]
         assert lines[1].split() == ["12", "19", "11", "6"]
 
     def test_bool_cells_lowercase(self):
-        text = render_csv(4)
+        text = render(4, "csv")
         assert ",true" in text and ",false" in text
         assert ",True" not in text
 
     def test_render_dispatch_and_errors(self):
-        assert render(5) == render_text(5)
-        assert render(5, "csv") == render_csv(5)
-        assert render(5, "json") == render_json(5)
         with pytest.raises(ValueError):
             render(0)
         with pytest.raises(ValueError):
