@@ -8,17 +8,19 @@ as a palindrome, and re-derive conjectures (a)-(c) on every row it holds.
 The checkpoint has the columns n,b,digits of tests/data/pow2_minbase.csv,
 the digits most significant first and space-separated, one row per n in
 ascending order; lines that start with # are comments.  A row whose
-digits do not write 2**n as a palindrome in base b is a usage error.  A
-missing file is created, starting at --min-n (default 1), with a first
-line that labels its rows as kernel output: they come from
-palindrome.min_pal_base, not from a per-base oracle.  An existing file
-resumes after its last row; a last line cut short by an interrupted run is
-dropped and computed again.  Each row is flushed as soon as it is computed.
+digits do not write 2**n as a palindrome in base b, or whose n is not one
+more than the previous row's, is a usage error.  A missing file is
+created, starting at --min-n (default 1), with a first line that labels
+its rows as kernel output: they come from palindrome.min_pal_base, not
+from a per-base oracle.  An existing file resumes after its last row; a
+last line cut short by an interrupted run is dropped and computed again.
+Each row is flushed as soon as it is computed.
 
 The conjectures, as in `palinradix conjectures`: (a) b(2**n) = 2**x - 1,
 (b) the representation has binomial form, (c) b(2**(a*a)) = 2**a - 1 for
-every a >= 2 with a*a among the rows.  Exit status 0 when all three hold,
-3 on a counterexample, 2 on a usage error.  On one core (CPython 3.11,
+every a >= 2 with a*a among the rows; (c) is inconclusive when there is
+no such a.  Exit status 3 on a counterexample, 2 on a usage error, else 0:
+an inconclusive (c) is no counterexample.  On one core (CPython 3.11,
 x86-64), n = 201..300 takes 3-5 s in all, up to a quarter of a second an
 n, and n = 301..400 takes 32-40 s, up to about 2 s an n.
 """
@@ -30,7 +32,7 @@ import time
 
 from palinradix.palindrome import min_pal_base
 from palinradix.radix import Representation, from_digits, is_palindrome
-from palinradix.theorems import ConjectureVerdict, _minbase_reports
+from palinradix.theorems import ConjectureVerdict, minbase_reports
 
 HEADER = "n,b,digits\n"
 LABEL = (
@@ -42,8 +44,9 @@ LABEL = (
 def read_checkpoint(path: pathlib.Path) -> dict[int, tuple[int, Representation]]:
     """The rows of the checkpoint, n -> (b, representation).
 
-    Each row must write 2**n as a palindrome in base b; one that does not
-    is bad input, while one whose base or digits break a conjecture is a
+    Each row must write 2**n as a palindrome in base b, and its n must be
+    one more than the previous row's; a row that breaks either is bad
+    input, while one whose base or digits break a conjecture is a
     counterexample for the reports.  A last line without its newline, cut
     short by an interrupted run, is dropped from the file once the rest has
     been read.
@@ -60,7 +63,9 @@ def read_checkpoint(path: pathlib.Path) -> dict[int, tuple[int, Representation]]
         if from_digits(rep) != 1 << n or not is_palindrome(rep):
             raise ValueError(f"{path}: row {line} is not a palindrome of 2**{n}")
         rows[n] = (rep.base, rep)
-    if rows and list(rows) != list(range(min(rows), max(rows) + 1)):
+    # the dict keeps one row per n, so a repeated exponent leaves it
+    # shorter than the rows and out of step with this range
+    if rows and list(rows) != list(range(min(rows), min(rows) + len(lines) - 1)):
         raise ValueError(f"{path}: the rows are not consecutive exponents")
     if kept != text:
         path.write_text(kept, encoding="ascii")
@@ -99,13 +104,13 @@ def main(argv: list[str] | None = None) -> int:
     if not rows:
         parser.error("the checkpoint holds no rows; raise --max-n")
 
-    reports = _minbase_reports(rows)
+    reports = minbase_reports(rows)
     for r in reports:
         print(f"({r.conjecture_id}) {r.range_tested}: {r.verdict.value}")
         for witness in r.witnesses:
             print(f"      counterexample: {witness}")
-    holds = all(r.verdict is ConjectureVerdict.HOLDS for r in reports)
-    return 0 if holds else 3
+    failed = any(r.verdict is ConjectureVerdict.COUNTEREXAMPLE for r in reports)
+    return 3 if failed else 0
 
 
 if __name__ == "__main__":

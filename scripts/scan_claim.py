@@ -13,8 +13,8 @@ import argparse
 import sys
 import time
 
-from palinradix.cli import _claim_violations
 from palinradix.palindrome import pow2_complete_scan
+from palinradix.theorems import claim_violations
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -29,7 +29,7 @@ def main(argv: list[str] | None = None) -> int:
     for n in range(args.min_n, args.max_n + 1):
         start = time.perf_counter()
         report = pow2_complete_scan(n)
-        bad = [rec.rep for rec in _claim_violations(report.records)]
+        bad = [rec.rep for rec in claim_violations(report.records)]
         elapsed = time.perf_counter() - start
         scope = "complete" if report.exhaustive else "capped"
         status = "ok" if not bad else f"{len(bad)} violation(s)"

@@ -5,13 +5,14 @@ base range for 2**n), table (regenerate a reference table), conjectures
 (evidence sweep).  Exit codes: 0 success, 2 usage error, 3 verified claim
 violation or golden mismatch.  All output is deterministic for fixed
 arguments, whatever --jobs is; --jobs must be >= 1.  conjectures runs that
-many worker processes, capped at the number of CPUs this process may run
-on (its CPU affinity set where the OS has one, else the CPU count); scan
-accepts --jobs and runs in one process.  scan --min-base B scans only the
-bases from B on, so it costs only the range it asks for.  The argument
-parser is built once per process, on the first main() call, and reused by
-every later call; the palinradix command calls main() once, so only
-callers that run main() in-process more than once gain from it.
+many worker processes, which check_conjectures caps at the number of CPUs
+this process may run on (its CPU affinity set where the OS has one, else
+the CPU count); scan accepts --jobs and runs in one process.  scan
+--min-base B scans only the bases from B on, so it costs only the range it
+asks for.  The argument parser is built once per process, on the first
+main() call, and reused by every later call; the palinradix command calls
+main() once, so only callers that run main() in-process more than once
+gain from it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import csv
 import functools
 import io
 import json
-import os
 import sys
 
 from . import tables
@@ -33,7 +33,7 @@ from .palindrome import (
     pow2_complete_scan,
 )
 from .radix import MAX_BASE, split_common_factor
-from .theorems import ConjectureVerdict, check_conjectures
+from .theorems import ConjectureVerdict, check_conjectures, claim_violations
 
 SCHEMA_VERSION = 1
 
@@ -93,21 +93,6 @@ def _records_json(records: tuple[PalindromeRecord, ...]) -> str:
     return json.dumps(objs, indent=2) + "\n"
 
 
-def _capped_jobs(jobs: int) -> int:
-    """--jobs capped at the CPUs this process may run on: its affinity set
-    where the OS has one, else the CPU count.  More workers than CPUs only
-    add start-up."""
-    if hasattr(os, "sched_getaffinity"):
-        return min(jobs, len(os.sched_getaffinity(0)))
-    return min(jobs, os.cpu_count() or 1)
-
-
-def _claim_violations(records) -> list[PalindromeRecord]:
-    """The records against the claim that every palindromic representation
-    of 2**n is binomial or has three digits."""
-    return [rec for rec in records if rec.binomial is None and rec.digit_count != 3]
-
-
 def cmd_minbase(args: argparse.Namespace) -> int:
     if (args.n is None) == (args.pow2 is None):
         print("minbase: give exactly one of N or --pow2 n", file=sys.stderr)
@@ -152,7 +137,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
             1 << n_exp, args.min_base, hi, min_digits=args.min_digits
         )
 
-    violations = _claim_violations(report.records)
+    violations = claim_violations(report.records)
 
     if args.format == "json":
         sys.stdout.write(_records_json(report.records))
@@ -232,7 +217,7 @@ def cmd_conjectures(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         print("conjectures: --jobs must be >= 1", file=sys.stderr)
         return 2
-    reports = check_conjectures(args.max_n, jobs=_capped_jobs(args.jobs))
+    reports = check_conjectures(args.max_n, jobs=args.jobs)
     failed = False
     for report in reports:
         print(f"({report.conjecture_id}) range {report.range_tested}: "

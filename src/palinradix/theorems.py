@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Any, NamedTuple
 
 from .numtheory import factorize, is_prime, perfect_power
-from .palindrome import min_pal_base
+from .palindrome import PalindromeRecord, min_pal_base
 from .binomial import classify_binomial
 from .radix import Representation, is_palindrome, to_digits
 
@@ -149,11 +150,25 @@ _SWEEP_CHUNK = 4
 _CENSUS_MAX_BASE = 31
 
 
-def _report(conjecture_id: str, range_tested: str, bad: tuple) -> ConjectureReport:
+def _report(
+    conjecture_id: str, range_tested: str, bad: tuple, tested: bool = True
+) -> ConjectureReport:
     """HOLDS when the sweep found no counterexample, else COUNTEREXAMPLE with
-    the counterexamples in bad as its witnesses."""
-    verdict = ConjectureVerdict.COUNTEREXAMPLE if bad else ConjectureVerdict.HOLDS
+    the counterexamples in bad as its witnesses; INCONCLUSIVE when the range
+    held no case to test, since a verdict over no case says nothing."""
+    if not tested:
+        verdict = ConjectureVerdict.INCONCLUSIVE
+    elif bad:
+        verdict = ConjectureVerdict.COUNTEREXAMPLE
+    else:
+        verdict = ConjectureVerdict.HOLDS
     return ConjectureReport(conjecture_id, range_tested, verdict, bad)
+
+
+def claim_violations(records) -> list[PalindromeRecord]:
+    """The records against the claim that every palindromic representation
+    of 2**n is binomial or has three digits."""
+    return [rec for rec in records if rec.binomial is None and rec.digit_count != 3]
 
 
 def _pow2_minbase(n: int) -> tuple[int, int, tuple[int, ...]]:
@@ -161,12 +176,13 @@ def _pow2_minbase(n: int) -> tuple[int, int, tuple[int, ...]]:
     return n, b, rep.digits
 
 
-def _minbase_reports(
+def minbase_reports(
     minbase: dict[int, tuple[int, Representation]]
 ) -> list[ConjectureReport]:
     """Conjectures (a), (b) and (c) of check_conjectures, from b(2**n) and
     its representation for the consecutive exponents n of minbase: (c) is
-    tested at every a >= 2 with a*a among them."""
+    tested at every a >= 2 with a*a among them, and is INCONCLUSIVE when
+    there is no such a."""
     n_lo, n_hi = min(minbase), max(minbase)
     a_lo, a_hi = max(2, math.isqrt(n_lo - 1) + 1), math.isqrt(n_hi)
     return [
@@ -196,6 +212,7 @@ def _minbase_reports(
                 for a in range(a_lo, a_hi + 1)
                 if minbase[a * a][0] != (1 << a) - 1
             ),
+            tested=a_lo <= a_hi,
         ),
     ]
 
@@ -208,10 +225,18 @@ def check_conjectures(n_max: int, jobs: int = 1) -> list[ConjectureReport]:
     base occurs as b(2**n) (reported descriptively, finiteness is not
     sweepable); (e) 2**n is palindromic base 3 only for n in {1,2,3,4}.
     A "holds" verdict means no counterexample in range, nothing more.
+    jobs > 1 maps the exponents over a Pool of that many worker processes,
+    capped at the CPUs this process may run on: its affinity set where the
+    OS has one, else the CPU count; more workers than CPUs only add
+    start-up.
     """
     if n_max < 4:
         raise ValueError(f"n_max must be >= 4, got {n_max}")
     exponents = range(1, n_max + 1)
+    if hasattr(os, "sched_getaffinity"):
+        jobs = min(jobs, len(os.sched_getaffinity(0)))
+    else:
+        jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
         with Pool(jobs) as pool:
             sweep = pool.map(_pow2_minbase, exponents, chunksize=_SWEEP_CHUNK)
@@ -219,7 +244,7 @@ def check_conjectures(n_max: int, jobs: int = 1) -> list[ConjectureReport]:
         sweep = [_pow2_minbase(n) for n in exponents]
     minbase = {n: (b, Representation(b, digits)) for n, b, digits in sweep}
 
-    reports = _minbase_reports(minbase)
+    reports = minbase_reports(minbase)
 
     census = tuple(
         {

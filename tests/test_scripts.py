@@ -1,5 +1,6 @@
 """The command-line scripts under scripts/, run in-process."""
 
+import ast
 import importlib.util
 import pathlib
 
@@ -72,8 +73,25 @@ class TestPow2MinbaseSweep:
         assert "(a) n = 1..2: counterexample" in out
         assert "'base': 5" in out
 
+    def test_no_square_exponent_is_inconclusive(self, tmp_path, capsys, sweep):
+        # n = 1..2 holds no a*a with a >= 2: (c) tested no case, which is no
+        # counterexample either, so the run exits 0
+        path = tmp_path / "ckpt.csv"
+        path.write_text("n,b,digits\n1,3,2\n2,3,1 1\n")
+        assert sweep.main([str(path), "--max-n", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "(a) n = 1..2: holds" in out
+        assert "(c) a = 2..1: inconclusive" in out
+
     @pytest.mark.parametrize(
-        "text", ["n,b,digits\n1,3,2\n3,3,2 2\n", "n,base,digits\n1,3,2\n"]
+        "text",
+        [
+            "n,b,digits\n1,3,2\n3,3,2 2\n",
+            "n,base,digits\n1,3,2\n",
+            # every row a palindrome of its 2**n, but an exponent repeated
+            pytest.param("n,b,digits\n1,3,2\n1,3,2\n2,3,1 1\n", id="repeated"),
+            pytest.param("n,b,digits\n1,3,2\n2,3,1 1\n1,3,2\n", id="repeated-later"),
+        ],
     )
     def test_bad_checkpoint_is_usage_error(self, tmp_path, capsys, sweep, text):
         path = tmp_path / "ckpt.csv"
@@ -113,6 +131,31 @@ def test_reproduce_tables_match(capsys):
     captured = capsys.readouterr()
     assert captured.out.count("=== table") == 5
     assert captured.err.count("matches frozen snapshot") == 5
+
+
+@pytest.mark.parametrize(
+    "fmt, renders",
+    [("csv", ["csv"]), ("text", ["text", "csv"]), ("json", ["json", "csv"])],
+    ids=["csv", "text", "json"],
+)
+def test_reproduce_tables_renders_csv_once(capsys, fmt, renders):
+    # the csv printed to stdout is the text compared with the snapshot
+    script = load("reproduce_tables")
+    calls, render = [], script.render
+    script.render = lambda table_id, f: calls.append((table_id, f)) or render(table_id, f)
+    assert script.main(["--format", fmt]) == 0
+    assert calls == [(k, f) for k in range(1, 6) for f in renders]
+    assert capsys.readouterr().err.count("matches frozen snapshot") == 5
+
+
+def test_scripts_import_no_private_name():
+    # the scripts use the package through its modules' public names
+    for path in SCRIPTS.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith(
+                "palinradix"
+            ):
+                assert not [a.name for a in node.names if a.name.startswith("_")], path
 
 
 def test_freeze_goldens_tables_match(tmp_path):

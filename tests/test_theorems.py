@@ -11,6 +11,7 @@ from palinradix.theorems import (
     check_conjectures,
     composite_palindrome_witness,
     even_digit_base_law,
+    minbase_reports,
     power_neighbor_reps,
     repunit_palindromes,
 )
@@ -172,3 +173,21 @@ class TestConjectures:
     def test_error(self):
         with pytest.raises(ValueError):
             check_conjectures(3)
+
+    def test_library_caps_its_workers(self, pool_sizes):
+        # a direct call is capped at the 3 CPUs of pool_sizes, as the CLI's
+        # --jobs is; the stand-in Pool maps serially, so no process starts
+        assert check_conjectures(8, jobs=10**6) == check_conjectures(8)
+        assert pool_sizes == [3]
+
+    @pytest.mark.parametrize(
+        "exponents, a_range", [((1, 2), "2..1"), ((5, 6, 7, 8), "3..2")]
+    )
+    def test_rows_without_a_square_leave_c_inconclusive(self, exponents, a_range):
+        # no a >= 2 has a*a among the rows: (c) tested no case
+        rows = {n: min_pal_base(1 << n) for n in exponents}
+        reports = {r.conjecture_id: r for r in minbase_reports(rows)}
+        assert reports["c"].range_tested == f"a = {a_range}"
+        assert reports["c"].verdict is ConjectureVerdict.INCONCLUSIVE
+        assert reports["c"].witnesses == ()
+        assert reports["a"].verdict is reports["b"].verdict is ConjectureVerdict.HOLDS
