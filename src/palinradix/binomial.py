@@ -13,7 +13,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .radix import MAX_BASE, Representation, from_digits
+from .radix import Representation, from_digits
 
 
 def central_binomial(k: int) -> int:
@@ -120,17 +120,14 @@ def pow2_binomial_candidates(
     passing the central-digit gate 2**r * C(k, ceil(k/2)) < 2**x - 1.
     Returns (k, x, r, base, rep) tuples sorted by (k, x).  The k = 0 family
     (a lone digit 2**n) is infinite in x, so only its minimal base
-    2**(n+1) - 1 is emitted; bases beyond the 2**63 - 1 cap are dropped.
+    2**(n+1) - 1 is emitted.
     """
     if n_exp < 1:
         raise ValueError(f"exponent must be >= 1, got {n_exp}")
-    out = []
-    if n_exp + 1 <= 63:
-        rep = construct_binomial(1 << n_exp, 0, (1 << (n_exp + 1)) - 1)
-        assert rep is not None
-        out.append((0, n_exp + 1, n_exp, (1 << (n_exp + 1)) - 1, rep))
+    base = (1 << (n_exp + 1)) - 1
+    out = [(0, n_exp + 1, n_exp, base, construct_binomial(1 << n_exp, 0, base))]
     for k in range(1, n_exp // 2 + 1):
-        for x in range(2, min(n_exp // k, 63) + 1):
+        for x in range(2, n_exp // k + 1):
             r = n_exp - k * x
             base = (1 << x) - 1
             rep = construct_binomial(1 << r, k, base)

@@ -32,7 +32,7 @@ from .palindrome import (
     min_pal_base,
     pow2_complete_scan,
 )
-from .radix import MAX_BASE, split_common_factor
+from .radix import split_common_factor
 from .theorems import ConjectureVerdict, check_conjectures, claim_violations
 
 SCHEMA_VERSION = 1
@@ -121,9 +121,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         print("scan: --jobs must be >= 1", file=sys.stderr)
         return 2
-    if args.max_base is not None and args.max_base > MAX_BASE:
-        print(f"scan: --max-base exceeds {MAX_BASE}", file=sys.stderr)
-        return 2
     hi = args.max_base
     if hi is None:
         hi = max(complete_scan_bound(n_exp), 2)
@@ -154,10 +151,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
             if rec.mersenne_exponent is not None:
                 flags.append(f"mersenne_x={rec.mersenne_exponent}")
             print(f"2^{n_exp} = {split_common_factor(rec.rep)}  [{', '.join(flags)}]")
-        scope = "complete" if report.exhaustive else "partial (capped)"
         print(
             f"# scanned bases {report.base_range[0]}..{report.base_range[1]} "
-            f"({scope}), {len(report.records)} palindromic representation(s)"
+            f"(complete), {len(report.records)} palindromic representation(s)"
         )
         if violations:
             print("# claim VIOLATED: record(s) neither binomial nor 3-digit:")
@@ -262,9 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pow2", type=int, required=True, metavar="n")
     p.add_argument("--min-base", type=int, default=2)
     p.add_argument("--max-base", type=int, default=None,
-                   help="default: isqrt(2**n), plus every larger base in which "
-                   "2**n is a 2-digit palindrome (c,c)_b, from the divisors "
-                   "of 2**n")
+                   help="last base scanned, of any size (default: isqrt(2**n), "
+                   "plus every larger base in which 2**n is a 2-digit "
+                   "palindrome (c,c)_b, from the divisors of 2**n)")
     p.add_argument("--min-digits", type=int, default=2)
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.add_argument("--jobs", type=int, default=1,

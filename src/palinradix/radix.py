@@ -13,10 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# Bases are capped so digit arithmetic stays in machine-word range on any
-# backend; every base this library searches is far below the cap.
-MAX_BASE = (1 << 63) - 1
-
 
 def _digits_lsf(n: int, base: int) -> list[int]:
     """Digits of n in ``base``, least-significant first; [] for n = 0.
@@ -36,7 +32,7 @@ def _digits_lsf(n: int, base: int) -> list[int]:
 class Representation:
     """A base-b digit tuple, most-significant digit first.
 
-    Invariants: 2 <= base <= MAX_BASE, every digit lies in [0, base), and the
+    Invariants: base >= 2, every digit lies in [0, base), and the
     leading digit is nonzero except for the canonical zero representation (0).
     """
 
@@ -46,8 +42,6 @@ class Representation:
     def __post_init__(self) -> None:
         if self.base < 2:
             raise ValueError(f"base must be >= 2, got {self.base}")
-        if self.base > MAX_BASE:
-            raise ValueError(f"base {self.base} exceeds the 2**63 - 1 cap")
         if not self.digits:
             raise ValueError("digit tuple must be nonempty")
         for d in self.digits:
@@ -96,8 +90,6 @@ def to_digits(n: int, base: int) -> Representation:
     """
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
-    if base > MAX_BASE:
-        raise ValueError(f"base {base} exceeds the 2**63 - 1 cap")
     if n < 0:
         raise ValueError(f"value must be non-negative, got {n}")
     return Representation(base, tuple(reversed(_digits_lsf(n, base))) or (0,))

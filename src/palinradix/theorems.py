@@ -182,8 +182,14 @@ def minbase_reports(
     """Conjectures (a), (b) and (c) of check_conjectures, from b(2**n) and
     its representation for the consecutive exponents n of minbase: (c) is
     tested at every a >= 2 with a*a among them, and is INCONCLUSIVE when
-    there is no such a."""
+    there is no such a.  Raises ValueError on no rows, or on rows whose
+    exponents skip one, naming the first exponent missing."""
+    if not minbase:
+        raise ValueError("no rows: need b(2**n) for at least one n")
     n_lo, n_hi = min(minbase), max(minbase)
+    for n in range(n_lo, n_hi + 1):
+        if n not in minbase:
+            raise ValueError(f"the rows skip n = {n}: exponents must be consecutive")
     a_lo, a_hi = max(2, math.isqrt(n_lo - 1) + 1), math.isqrt(n_hi)
     return [
         _report(

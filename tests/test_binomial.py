@@ -139,9 +139,8 @@ class TestSmallBinomialBase:
             assert n == k * y + r
             assert y <= math.isqrt(2 * n - 1) + 2
             assert (1 << r) * central_binomial(k) < (1 << y) - 1
-            if y <= 63:  # past that the base exceeds the representation cap
-                rep = construct_binomial(1 << r, k, (1 << y) - 1)
-                assert rep is not None and from_digits(rep) == 1 << n
+            rep = construct_binomial(1 << r, k, (1 << y) - 1)
+            assert rep is not None and from_digits(rep) == 1 << n
 
 
 class TestPow2Candidates:
@@ -160,6 +159,11 @@ class TestPow2Candidates:
             assert b == (1 << x) - 1
             assert from_digits(rep) == 64
             assert is_palindrome(rep)
+
+    def test_bases_past_2_pow_63(self):
+        # the lone digit (2**64)_{2**65 - 1} and (1,1)_{2**64 - 1}
+        rows = [(k, x, r) for k, x, r, _, _ in pow2_binomial_candidates(64)]
+        assert (0, 65, 64) in rows and (1, 64, 0) in rows
 
     def test_n1(self):
         cands = pow2_binomial_candidates(1)

@@ -206,6 +206,29 @@ class TestScan:
         assert ranges == [(1 << n_exp, lo, (1 << n_exp) - 1, 2)]
         assert [row[1] for row in list(csv.reader(io.StringIO(out)))[1:]] == want
 
+    def test_bases_past_2_pow_65(self, capsys, deadline):
+        # a range past 2**64 is a well-formed question: (1,2,1)_{2**65 - 1}
+        # and the 65 records (c,c)_b past isqrt(2**130)
+        with deadline(30):
+            code, out, _ = run(
+                capsys, "scan", "--pow2", "130", "--min-base", "36893488147419102232"
+            )
+        assert code == 0
+        assert out.splitlines()[-2].endswith(
+            "(complete), 66 palindromic representation(s)"
+        )
+        n = 1 << 66
+        with deadline(30):
+            code, out, _ = run(
+                capsys, "scan", "--pow2", "66", "--min-base", str(n - 2),
+                "--max-base", str(n + 1), "--min-digits", "1", "--format", "csv",
+            )
+        assert code == 0
+        assert [row[1:3] for row in list(csv.reader(io.StringIO(out)))[1:]] == [
+            [str(n - 1), "1 1"],
+            [str(n + 1), str(n)],
+        ]
+
     def test_min_digits(self, capsys):
         code, out, _ = run(
             capsys, "scan", "--pow2", "12", "--format", "csv", "--min-digits", "3"

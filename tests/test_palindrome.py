@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from palinradix.binomial import classify_binomial
+from palinradix.binomial import classify_binomial, three_digit_binomial_family
 from palinradix.palindrome import (
     PalindromeRecord,
     complete_scan_bound,
@@ -17,13 +17,7 @@ from palinradix.palindrome import (
     three_digit_reps,
     two_digit_reps,
 )
-from palinradix.radix import (
-    MAX_BASE,
-    Representation,
-    from_digits,
-    is_palindrome,
-    to_digits,
-)
+from palinradix.radix import Representation, from_digits, is_palindrome, to_digits
 
 from oracles import naive_min_pal_base
 
@@ -103,9 +97,18 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_palindromes(7, 5, 4)
         with pytest.raises(ValueError):
-            enumerate_palindromes(7, 2, MAX_BASE + 1)
-        with pytest.raises(ValueError):
             enumerate_palindromes(7, 2, 10, min_digits=0)
+
+    def test_bases_past_2_pow_64(self, deadline):
+        # the range of min_pal_base's last search, for the prime p = 2**64 + 13:
+        # (1,1)_{p-1} and the single digit (p)_{p+1}, in bases past 2**64
+        p = (1 << 64) + 13
+        with deadline(30):
+            report = enumerate_palindromes(p, math.isqrt(p) + 1, p + 1, 1)
+        assert [(r.rep.base, r.rep.digits) for r in report.records] == [
+            (p - 1, (1, 1)),
+            (p + 1, (p,)),
+        ]
 
 
 class TestRecordInvariants:
@@ -220,10 +223,9 @@ class TestClosedForms:
             assert two_digit_reps(n) == brute, n
 
     def test_two_digit_base_cap(self):
-        # the (1,1) row for 2**64 would need base 2**64 - 1, past the cap
+        # the (1,1) row of 2**64 is in base 2**64 - 1
         reps = two_digit_reps(1 << 64)
-        assert reps == [((1 << j) - 1, 1 << (64 - j)) for j in range(33, 64)]
-        assert all(b <= MAX_BASE for b, _ in reps)
+        assert reps == [((1 << j) - 1, 1 << (64 - j)) for j in range(33, 65)]
 
 
 class TestPow2CompleteScan:
@@ -273,12 +275,21 @@ class TestPow2CompleteScan:
         with pytest.raises(ValueError):
             pow2_complete_scan(0)
 
-    @pytest.mark.parametrize("min_digits", [2, 3])
-    def test_bound_past_base_cap(self, deadline, min_digits):
-        # isqrt(2**126) = 2**63 passes the cap on bases: the scan raises at
-        # once rather than walk 2**63 bases
-        with deadline(30), pytest.raises(ValueError, match="exceeds the 2"):
-            pow2_complete_scan(126, min_digits=min_digits)
+    def test_bases_past_2_pow_65(self, deadline):
+        # from lo = 2**65 - 1000, the scan of 2**130 holds (1,2,1)_{2**65 - 1}
+        # and then every (c,c)_b past isqrt(2**130) = 2**65, in base order
+        n, lo = 1 << 130, (1 << 65) - 1000
+        with deadline(30):
+            report = pow2_complete_scan(130, lo=lo)
+        three = [
+            (b, (1 << i, 2 << i, 1 << i))
+            for i, b in three_digit_binomial_family(130)
+            if b >= lo
+        ]
+        two = [(b, (c, c)) for b, c in two_digit_reps(n) if b > 1 << 65]
+        assert [(r.rep.base, r.rep.digits) for r in report.records] == three + two
+        assert len(three) == 1 and len(two) == 65
+        assert report.exhaustive and report.base_range == (lo, 1 << 65)
 
     @pytest.mark.parametrize("n_exp", [1, 2, 12])
     @pytest.mark.parametrize("min_digits", [0, -5])

@@ -3,7 +3,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from palinradix.radix import (
-    MAX_BASE,
     Representation,
     ScaledRepresentation,
     from_digits,
@@ -32,8 +31,6 @@ class TestToDigits:
             to_digits(10, 0)
         with pytest.raises(ValueError):
             to_digits(10, 1)
-        with pytest.raises(ValueError):
-            to_digits(10, MAX_BASE + 1)
 
     def test_str_format(self):
         assert str(to_digits(2023, 16)) == "(7,14,7)_16"
@@ -57,10 +54,12 @@ class TestRepresentationValidation:
         with pytest.raises(ValueError):
             Representation(10, ())
 
-    def test_base_cap(self):
-        Representation(MAX_BASE, (1,))
-        with pytest.raises(ValueError):
-            Representation(MAX_BASE + 1, (1,))
+    def test_base_of_any_size(self):
+        # plain Python ints: a base past 2**64 converts and round-trips
+        b = (1 << 64) + 1
+        rep = to_digits(b**3 + 5, b)
+        assert rep == Representation(b, (1, 0, 0, 5))
+        assert from_digits(rep) == b**3 + 5
 
 
 class TestPalindrome:

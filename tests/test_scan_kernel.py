@@ -1344,8 +1344,8 @@ def test_pow2_complete_scan_two_digit_part(monkeypatch, divisor_runs):
             three = enumerate_palindromes(n, 2, hi, 3)
             assert three.records == tuple(r for r in report.records if r.digit_count >= 3)
             assert three.exhaustive, hi
-    # the complete scan of 2**64 and up stops at 2**63 - 1 and is not
-    # exhaustive; the kernel is stubbed, as those complete scans take seconds
+    # the complete scan of 2**n runs to N - 1 and is exhaustive for every n;
+    # the kernel is stubbed, as the complete scans of 2**64 and up take seconds
     ranges = []
     monkeypatch.setattr(
         palindrome, "_palindromic_bases", lambda *args: ranges.append(args) or iter(())
@@ -1353,10 +1353,9 @@ def test_pow2_complete_scan_two_digit_part(monkeypatch, divisor_runs):
     for n_exp in (63, 64, 65):
         ranges.clear()
         n = 1 << n_exp
-        assert pow2_complete_scan(n_exp).exhaustive == (n_exp < 64)
+        assert pow2_complete_scan(n_exp).exhaustive
         assert pow2_complete_scan(n_exp, min_digits=3).exhaustive
-        top = min(n - 1, palindrome.MAX_BASE)
-        assert ranges == [(n, 2, top, 2), (n, 2, math.isqrt(n), 3)]
+        assert ranges == [(n, 2, n - 1, 2), (n, 2, math.isqrt(n), 3)]
 
 
 def hard_n(rng, root_lo, root_hi, count):

@@ -191,3 +191,17 @@ class TestConjectures:
         assert reports["c"].verdict is ConjectureVerdict.INCONCLUSIVE
         assert reports["c"].witnesses == ()
         assert reports["a"].verdict is reports["b"].verdict is ConjectureVerdict.HOLDS
+
+    @pytest.mark.parametrize(
+        "exponents, message",
+        [
+            pytest.param((), "no rows", id="empty"),
+            pytest.param((1, 3, 5), "skip n = 2", id="gap-at-2"),
+            pytest.param((4, 5, 7, 9), "skip n = 6", id="gap-at-6"),
+        ],
+    )
+    def test_rows_break_the_precondition(self, exponents, message):
+        # the rows must be nonempty and their exponents consecutive
+        rows = {n: min_pal_base(1 << n) for n in exponents}
+        with pytest.raises(ValueError, match=message):
+            minbase_reports(rows)
