@@ -1,8 +1,8 @@
 """Palindrome search: minimal base, bounded scans, and the closed-form
 families (3-digit, (1,c,1), and 2-digit), kept as oracles for the scans.
 
-Base-range scans, pow2_complete_scan and min_pal_base outside its 3-digit
-bases all run on one kernel, _palindromic_bases.  It walks the bases by
+Base-range scans, pow2_complete_scan and min_pal_base outside its per-base
+3-digit bases all run on one kernel, _palindromic_bases.  It walks bases by
 digit count and leading digit and tests most of them with one modulo
 each; two divisor laws take whole runs and bands at once, through one
 step, whenever divisors() splits the number within a budget of half the
@@ -20,7 +20,11 @@ the leading digits of its last and first base, one modulo and one
 comparison a base, and only the few bases inside that window take the
 exact leading-digit test.  Every candidate ends in one confirm step,
 _confirmed, which extracts its digits once and builds the hit's
-Representation; min_pal_base passes the 3-digit bases to it one by one.
+Representation.  min_pal_base splits the 3-digit bases at
+min(isqrt(n), iroot(2 * _SIEVE_RUN_MIN * n, 3)): the kernel takes the
+bases past it, where every run is long enough for the divisor step, and
+only the bases from iroot(n, 3) + 1 up to it go to _confirmed one by one
+(until ROADMAP item 6).
 A scan is one kernel call over its whole range, in one process: the
 divisor steps take the long runs near isqrt(n) whole, so the cost of a
 complete scan lies almost all in its lowest bases (of 2**50's bases up
@@ -392,14 +396,18 @@ def min_pal_base(n: int) -> tuple[int, Representation]:
     by the band kernel _palindromic_bases: from base 1024 on, a band where
     n has an even number of digits takes its candidates from divisors(n)
     when n splits within the band's budget (_divisors_within), as 2**n
-    does, whose candidates there are the bases 2**x - 1.  The 3-digit
-    bases after them are confirmed one by one.  Beyond isqrt(n) only 1- and
-    2-digit representations remain, and the kernel takes the 2-digit band
-    (isqrt(n), n] as its even band at p = 1: (c,c)_b with n = c*(b+1),
-    from the divisors of n.  (1,1)_{n-1} qualifies for every n >= 3; the
-    last search runs to base n + 1, where every n reads as the single digit
-    (n), so it also finds b(1) = 2 as (1)_2 and b(2) = 3 as (2)_3, and it
-    always ends on a hit.
+    does, whose candidates there are the bases 2**x - 1.  The 3-digit bases
+    after them, up to split = min(isqrt(n), iroot(k * n, 3)), where
+    k = 2 * _SIEVE_RUN_MIN, are confirmed one by one (until ROADMAP item
+    6).  The last search runs the kernel from split + 1: there every run of one
+    leading digit c is long by the kernel's test, b >= k * c, so it takes
+    the runs near isqrt(n) from divisors(n - c) with its shared sieve.
+    Beyond isqrt(n) only 1- and 2-digit representations remain, and the
+    kernel takes the 2-digit band (isqrt(n), n] as its even band at p = 1:
+    (c,c)_b with n = c*(b+1), from the divisors of n.  (1,1)_{n-1} qualifies
+    for every n >= 3; the last search runs to base n + 1, where every n
+    reads as the single digit (n), so it also finds b(1) = 2 as (1)_2 and
+    b(2) = 3 as (2)_3, and it always ends on a hit.
 
     >>> min_pal_base(13)
     (3, Representation(base=3, digits=(1, 1, 1)))
@@ -409,14 +417,19 @@ def min_pal_base(n: int) -> tuple[int, Representation]:
     cube, root = iroot(n, 3), math.isqrt(n)
     for rep in _palindromic_bases(n, 2, cube, 4):
         return rep.base, rep
-    # The 3-digit bases stay on the per-base loop for now (ROADMAP item 6):
-    # the minbase-random benchmark computes its references untimed, so a
-    # faster search there runs more passes and makes each run longer.  The
-    # kernel above never reaches its 3-digit divisor path either: up to
-    # iroot(n, 3), n has four or more digits.
-    for rep in _confirmed(n, range(cube + 1, root + 1)):
+    # split = min(root, iroot(k * n, 3)), with k = 2 * _SIEVE_RUN_MIN: past
+    # it, b**3 > k * n >= k * c * b*b, so b > k * c, the kernel's test of a
+    # long 3-digit run.  Both terms are at least cube.  The comparison skips
+    # the cube root for n up to about k**2, where it made table 1 about 7%
+    # slower.  The bases up to split stay on the per-base loop for now
+    # (ROADMAP item 6): the minbase-random benchmark computes its
+    # references untimed, so a faster search there runs more passes and
+    # makes each run longer.
+    k = 2 * _SIEVE_RUN_MIN
+    split = root if root**3 <= k * n else iroot(k * n, 3)
+    for rep in _confirmed(n, range(cube + 1, split + 1)):
         return rep.base, rep
-    for rep in _palindromic_bases(n, root + 1, n + 1, 1):
+    for rep in _palindromic_bases(n, split + 1, n + 1, 1):
         return rep.base, rep
 
 

@@ -141,7 +141,9 @@ class TestScan:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == POW2_12_JSON_SHA256
 
-    @pytest.mark.parametrize("fmt,want", [("csv", SCAN_CSV_HEADER), ("json", "[]\n")])
+    @pytest.mark.parametrize(
+        "fmt,want", [("csv", SCAN_CSV_HEADER), ("json", "[]\n")], ids=["csv", "json"]
+    )
     def test_empty_scan(self, capsys, fmt, want):
         code, out, _ = run(
             capsys, "scan", "--pow2", "3", "--max-base", "2", "--min-digits", "3",

@@ -908,8 +908,10 @@ def test_sieve_window_spans_segments(monkeypatch, sieve_calls, divisor_runs):
 
 
 def test_small_scans_do_not_sieve(sieve_calls):
-    # table 2's scans (2**n, n <= 20) and min_pal_base never make a sieve:
-    # their runs hold too few bases to pay for one
+    # table 2's scans (2**n, n <= 20) never make a sieve: their runs hold
+    # too few bases to pay for one.  Nor does min_pal_base on n whose
+    # answer lies below its split, iroot(2 * _SIEVE_RUN_MIN * n, 3): it
+    # tests those bases one by one and never reaches the kernel's runs
     render(2, "csv")
     for n_exp in range(1, 21):
         pow2_complete_scan(n_exp)
@@ -917,6 +919,10 @@ def test_small_scans_do_not_sieve(sieve_calls):
         min_pal_base(n)
     assert sieve_calls == []
     pow2_complete_scan(30)
+    assert sieve_calls
+    # a hard n, b(n) = 57638 > isqrt(n), walks the kernel from its split on
+    sieve_calls.clear()
+    min_pal_base(2425737315)
     assert sieve_calls
 
 
@@ -1385,3 +1391,62 @@ def test_min_pal_base_two_digit_hits(root_lo, root_hi, rng, divisor_runs, deadli
             assert divisor_runs == [n], n
         assert got[0] > math.isqrt(n) and len(got[1].digits) == 2
         assert got[0] == two_digit_hits(n, math.isqrt(n) + 1)[0][0]
+
+
+# -- min_pal_base: the 3-digit bases past split on the kernel ----------------
+
+
+def minbase_split(n):
+    """The last base min_pal_base tests one by one: past it, every base b
+    has b**3 > 2 * _SIEVE_RUN_MIN * n, so its run is long by the kernel's
+    test."""
+    return min(math.isqrt(n), iroot(2 * _SIEVE_RUN_MIN * n, 3))
+
+
+@pytest.mark.parametrize(
+    "n, hard",
+    [
+        (2425737315, True),  # b(n) = 57638 > isqrt(n) = 49251
+        (3396565186, False),  # b(n) = 39517 in (split, isqrt(n)] = (12025, 58280]
+    ],
+    ids=["hard", "past-split"],
+)
+def test_min_pal_base_takes_runs_past_split(n, hard, divisor_runs, deadline):
+    # the kernel's walk from split + 1 takes long 3-digit runs through
+    # divisors(n - c) before it reaches b(n)
+    split, root = minbase_split(n), math.isqrt(n)
+    with deadline(30):
+        got = min_pal_base(n)
+    assert got == naive_min_pal_base(n)
+    assert (got[0] > root) == hard and got[0] > split
+    assert any(0 < n - m < split for m in divisor_runs), divisor_runs
+
+
+@pytest.mark.parametrize("shift", [-1, 0, 1])
+def test_min_pal_base_planted_at_split(shift, rng, deadline):
+    # (c, d, c)_b on the base split - 1, split or split + 1, for n in
+    # [1e9, 1e10]: the last bases of the per-base loop and the first of
+    # the kernel's walk; every n whose first hit is b returns it
+    k = 2 * _SIEVE_RUN_MIN
+    for _ in range(4):
+        s = rng.randint(8000, 17000)
+        b = s + shift
+        # the n with split = iroot(k * n, 3) = s
+        n_lo, n_hi = -(-(s**3) // k), ((s + 1) ** 3 - 1) // k
+        planted = [
+            (n, (c, d, c))
+            for c in range(n_lo // b**2, n_hi // b**2 + 1)
+            for d in range(b)
+            if n_lo <= (n := planted_3digit(c, d, b)) <= n_hi
+        ]
+        rng.shuffle(planted)
+        for n, digits in planted:
+            assert minbase_split(n) == s, n
+            want = naive_min_pal_base(n)
+            if want[0] == b:
+                break
+        else:
+            raise AssertionError(f"no n with its first hit on base {b}")
+        assert want[1].digits == digits
+        with deadline(30):
+            assert min_pal_base(n) == want, n

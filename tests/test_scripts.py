@@ -86,8 +86,8 @@ class TestPow2MinbaseSweep:
     @pytest.mark.parametrize(
         "text",
         [
-            "n,b,digits\n1,3,2\n3,3,2 2\n",
-            "n,base,digits\n1,3,2\n",
+            pytest.param("n,b,digits\n1,3,2\n3,3,2 2\n", id="exponent-missing"),
+            pytest.param("n,base,digits\n1,3,2\n", id="bad-header"),
             # every row a palindrome of its 2**n, but an exponent repeated
             pytest.param("n,b,digits\n1,3,2\n1,3,2\n2,3,1 1\n", id="repeated"),
             pytest.param("n,b,digits\n1,3,2\n2,3,1 1\n1,3,2\n", id="repeated-later"),
@@ -101,7 +101,9 @@ class TestPow2MinbaseSweep:
         assert exc.value.code == 2
         assert path.read_text() == text
 
-    @pytest.mark.parametrize("row", ["5,7,1 1\n", "5,5,1 1 2\n"])
+    @pytest.mark.parametrize(
+        "row", ["5,7,1 1\n", "5,5,1 1 2\n"], ids=["wrong-value", "not-palindrome"]
+    )
     def test_row_not_a_palindrome_of_2_to_the_n(self, tmp_path, capsys, sweep, row):
         # (1,1)_7 is 8, and (1,1,2)_5 is 32 but not a palindrome: the run
         # stops before the reports, and the file stays as it was, its last
